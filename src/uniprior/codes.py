@@ -54,6 +54,8 @@ def parse_code(text: str) -> LinearIndexCode:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
     if not isinstance(doc, list):
         raise ParseError("code document must be a JSON array of symbols")
     symbols = []
@@ -101,10 +103,11 @@ def _coord(offsets: tuple[int, ...], msg: int, bit: int) -> int:
 
 def check_code(inst: Instance, code: LinearIndexCode) -> None:
     """Raise MalformedCodeError unless the code is well-formed for inst."""
+    owned_by = [set(s) for s in inst.senders]
     for k, sym in enumerate(code.symbols):
         if not 1 <= sym.sender <= len(inst.senders):
             raise MalformedCodeError(f"symbol {k + 1}: sender {sym.sender} does not exist")
-        owned = set(inst.senders[sym.sender - 1])
+        owned = owned_by[sym.sender - 1]
         if not sym.terms:
             raise MalformedCodeError(f"symbol {k + 1}: empty term list")
         for (msg, bit) in sym.terms:
@@ -138,9 +141,13 @@ class Gf2Basis:
             self.add(r)
 
     def _reduce(self, vec: int) -> int:
-        for pivot, row in self.rows.items():
-            if (vec >> pivot) & 1:
-                vec ^= row
+        # a row holds no other row's pivot, so the rows to XOR in are
+        # exactly those pivoted at vec's own bits
+        bits = vec
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            vec ^= self.rows.get(low.bit_length() - 1, 0)
         return vec
 
     def add(self, vec: int) -> bool:
@@ -149,9 +156,9 @@ class Gf2Basis:
         if vec == 0:
             return False
         pivot = vec.bit_length() - 1
-        for p in list(self.rows):
-            if (self.rows[p] >> pivot) & 1:
-                self.rows[p] ^= vec
+        for p, row in self.rows.items():
+            if p > pivot and (row >> pivot) & 1:  # lower pivots lie below bit pivot
+                self.rows[p] = row ^ vec
         self.rows[pivot] = vec
         return True
 
@@ -172,29 +179,48 @@ class Gf2Basis:
         return b
 
 
-def _receiver_units(inst: Instance, offsets: tuple[int, ...], r: int) -> list[int]:
-    return [1 << _coord(offsets, r, b) for b in range(1, inst.q[r - 1] + 1)]
+def _receivers(inst: Instance, offsets: tuple[int, ...]) -> list[tuple]:
+    """(r, r's own coordinates, wanted (message, bit) pairs, their
+    coordinates) for every receiver that wants something, in order."""
+    wants: dict[int, list[int]] = {}
+    for (i, j) in sorted(inst.arcs):
+        wants.setdefault(j, []).append(i)
+    out = []
+    for r in range(1, inst.n + 1):
+        wanted = [(j, b) for j in wants.get(r, ()) for b in range(1, inst.q[j - 1] + 1)]
+        if wanted:
+            out.append((r, range(offsets[r - 1], offsets[r - 1] + inst.q[r - 1]),
+                        wanted, [_coord(offsets, j, b) for (j, b) in wanted]))
+    return out
 
 
-def _wanted_bits(inst: Instance, r: int) -> list[tuple[int, int]]:
-    return [(j, b) for j in inst.wants(r) for b in range(1, inst.q[j - 1] + 1)]
+def _residues(rows: dict[int, int], own: range, wanted: list[int]) -> list[int]:
+    """What a receiver knowing the coordinates `own` still lacks of each
+    wanted coordinate, given the code's RREF `rows`: 0 iff it decodes.
+
+    Deleting the own columns (keep = ~own) leaves a row pivoted outside
+    them the only one with its pivot bit, so it fixes that coefficient:
+    e_c lies in the projected row space iff t_c = (rows[c] ^ e_c) & keep
+    (rows[c] = 0 if c is no pivot) lies in the span K of the <= q_r rows
+    pivoted inside own.  The residues are the t_c reduced by K; their rank
+    is the rank deficit.
+    """
+    keep = ~(((1 << len(own)) - 1) << own.start)
+    k = Gf2Basis(rows[p] & keep for p in own if p in rows)
+    return [k._reduce((rows.get(c, 0) ^ (1 << c)) & keep) for c in wanted]
 
 
 def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
     """Rank criterion: receiver r decodes bit (j, b) iff its unit vector
-    lies in the span of the code symbols plus r's own message bits."""
+    lies in the span of the code symbols plus r's own message bits.
+
+    One elimination of the code, then a <= q_r-row step per receiver."""
     check_code(inst, code)
     offsets, _ = bit_layout(inst)
-    vecs = symbol_vectors(inst, code)
+    rows = Gf2Basis(symbol_vectors(inst, code)).rows
     failures = []
-    for r in range(1, inst.n + 1):
-        wanted = _wanted_bits(inst, r)
-        if not wanted:
-            continue
-        basis = Gf2Basis(vecs + _receiver_units(inst, offsets, r))
-        for (j, b) in wanted:
-            if not basis.contains(1 << _coord(offsets, j, b)):
-                failures.append((r, (j, b)))
+    for r, own, wanted, coords in _receivers(inst, offsets):
+        failures.extend((r, w) for w, res in zip(wanted, _residues(rows, own, coords)) if res)
     return VerifyReport(valid=not failures, failures=tuple(failures))
 
 
@@ -209,12 +235,6 @@ def verify_exhaustive(inst: Instance, code: LinearIndexCode, cap: int = 20) -> V
     if total > cap:
         raise CapExceededError(f"total bits {total} exceeds cap {cap}")
     vecs = symbol_vectors(inst, code)
-    own_masks = []
-    for r in range(1, inst.n + 1):
-        m = 0
-        for u in _receiver_units(inst, offsets, r):
-            m |= u
-        own_masks.append(m)
 
     codewords = []
     for x in range(1 << total):
@@ -224,13 +244,10 @@ def verify_exhaustive(inst: Instance, code: LinearIndexCode, cap: int = 20) -> V
         codewords.append(w)
 
     failures = []
-    for r in range(1, inst.n + 1):
-        wanted = _wanted_bits(inst, r)
-        if not wanted:
-            continue
-        own = own_masks[r - 1]
-        for (j, b) in wanted:
-            probe = 1 << _coord(offsets, j, b)
+    for r, own_coords, wanted, coords in _receivers(inst, offsets):
+        own = ((1 << len(own_coords)) - 1) << own_coords.start
+        for (j, b), c in zip(wanted, coords):
+            probe = 1 << c
             seen: dict[tuple[int, int], int] = {}
             ok = True
             for x in range(1 << total):
@@ -305,53 +322,34 @@ def oracle_min_linear(inst: Instance, max_len: int | None = None,
     if total > max_bits:
         raise CapExceededError(f"total bits {total} exceeds cap {max_bits}")
 
-    wants_by_r = []
-    own_by_r = []
-    for r in range(1, inst.n + 1):
-        wanted = _wanted_bits(inst, r)
-        if wanted:
-            wants_by_r.append([1 << _coord(offsets, j, b) for (j, b) in wanted])
-            own_by_r.append(_receiver_units(inst, offsets, r))
-
-    if not wants_by_r:
+    receivers = [(own, coords) for _, own, _, coords in _receivers(inst, offsets)]
+    if not receivers:
         return OracleResult(length=0, code=LinearIndexCode(symbols=()), exact=True)
 
     cands = _candidate_vectors(inst, offsets)
 
-    def demand(chosen_rows: list[int]) -> int:
+    def demand(rows: dict[int, int]) -> int:
         """Largest per-receiver rank deficit; each missing dimension costs
         at least one more symbol."""
-        worst = 0
-        for units, wanted in zip(own_by_r, wants_by_r):
-            basis = Gf2Basis(chosen_rows + units)
-            before = basis.rank
-            for w in wanted:
-                basis.add(w)
-            worst = max(worst, basis.rank - before)
-        return worst
+        return max(Gf2Basis(_residues(rows, own, wanted)).rank for own, wanted in receivers)
 
-    def satisfied(chosen_rows: list[int]) -> bool:
-        for units, wanted in zip(own_by_r, wants_by_r):
-            basis = Gf2Basis(chosen_rows + units)
-            if any(not basis.contains(w) for w in wanted):
-                return False
-        return True
+    def satisfied(rows: dict[int, int]) -> bool:
+        return not any(any(_residues(rows, own, wanted)) for own, wanted in receivers)
 
     upper_code = _trivial_upper_code(inst)
     hard_cap = len(upper_code) if max_len is None else min(max_len, len(upper_code))
 
-    lb = demand([])
+    lb = demand({})
     witness: list[tuple[int, int]] = []
     failed: set[tuple[tuple[int, ...], int, int]] = set()
 
-    def dfs(start: int, chosen: list[tuple[int, int]], rows: list[int],
-            basis: Gf2Basis, slots: int) -> bool:
+    def dfs(start: int, chosen: list[tuple[int, int]], basis: Gf2Basis, slots: int) -> bool:
         if slots == 0:
-            return satisfied(rows)
+            return satisfied(basis.rows)
         key = (basis.snapshot(), slots, start)
         if key in failed:
             return False
-        if demand(rows) > slots:
+        if demand(basis.rows) > slots:
             failed.add(key)
             return False
         for k in range(start, len(cands)):
@@ -361,17 +359,15 @@ def oracle_min_linear(inst: Instance, max_len: int | None = None,
             b2 = basis.copy()
             b2.add(vec)
             chosen.append((si, vec))
-            rows.append(vec)
-            if dfs(k + 1, chosen, rows, b2, slots - 1):
+            if dfs(k + 1, chosen, b2, slots - 1):
                 return True
             chosen.pop()
-            rows.pop()
         failed.add(key)
         return False
 
     for length in range(lb, hard_cap + 1):
         chosen: list[tuple[int, int]] = []
-        if dfs(0, chosen, [], Gf2Basis(), length):
+        if dfs(0, chosen, Gf2Basis(), length):
             witness = list(chosen)
             symbols = []
             for (si, vec) in witness:

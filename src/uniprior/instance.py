@@ -119,6 +119,8 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
     if not isinstance(doc, dict):
         raise ParseError(f"instance document must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(_REQUIRED_FIELDS))

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from uniprior import (Instance, LinearIndexCode, MessageGraph, WorkGraph,
+from uniprior import (Gf2Basis, Instance, LinearIndexCode, MessageGraph,
+                      VerifyReport, WorkGraph, bit_layout, check_code,
                       verify_exhaustive)
+from uniprior.codes import _coord, symbol_vectors
 
 
 def brute_reach(g: WorkGraph) -> dict[int, set[int]]:
@@ -118,3 +120,32 @@ def brute_min_linear(inst: Instance, max_len: int) -> int | None:
             if verify_exhaustive(inst, code).valid:
                 return length
     return None
+
+
+def _receiver_units(inst: Instance, offsets: tuple[int, ...], r: int) -> list[int]:
+    return [1 << _coord(offsets, r, b) for b in range(1, inst.q[r - 1] + 1)]
+
+
+def _wanted_bits(inst: Instance, r: int) -> list[tuple[int, int]]:
+    return [(j, b) for j in inst.wants(r) for b in range(1, inst.q[j - 1] + 1)]
+
+
+def reference_verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
+    """Rank criterion: receiver r decodes bit (j, b) iff its unit vector
+    lies in the span of the code symbols plus r's own message bits.
+
+    The per-receiver form: a fresh basis of every code row plus r's own
+    unit vectors for each receiver, O(n * L * rank)."""
+    check_code(inst, code)
+    offsets, _ = bit_layout(inst)
+    vecs = symbol_vectors(inst, code)
+    failures = []
+    for r in range(1, inst.n + 1):
+        wanted = _wanted_bits(inst, r)
+        if not wanted:
+            continue
+        basis = Gf2Basis(vecs + _receiver_units(inst, offsets, r))
+        for (j, b) in wanted:
+            if not basis.contains(1 << _coord(offsets, j, b)):
+                failures.append((r, (j, b)))
+    return VerifyReport(valid=not failures, failures=tuple(failures))

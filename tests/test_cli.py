@@ -145,6 +145,28 @@ def test_verify_malformed_code_exits_1(files, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("solve",), ("bound",), ("bound", "--exhaustive"), ("trace",),
+    ("encode", "-o", "out"), ("verify", "good"), ("oracle",),
+])
+def test_deeply_nested_instance_exits_1(files, capsys, argv):
+    nested = files["dir"] / "nested.json"
+    nested.write_text("[" * 200_000)
+    extra = {"good": files["ex2"], "out": str(files["dir"] / "out.json")}
+    argv = [extra.get(a, a) for a in argv]
+    status, out, err = run(capsys, argv[0], str(nested), *argv[1:])
+    assert status == 1
+    assert "nested too deeply" in out + err and "Traceback" not in err
+
+
+def test_deeply_nested_code_exits_1(files, capsys):
+    nested = files["dir"] / "nested.code.json"
+    nested.write_text("[" * 200_000)
+    status, _, err = run(capsys, "verify", files["ex2"], str(nested))
+    assert status == 1
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
 def test_oracle_labels(files, capsys):
     status, out, _ = run(capsys, "oracle", files["d1"])
     assert status == 0

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from uniprior import (CapExceededError, Gf2Basis, LinearIndexCode,
                       MalformedCodeError, bit_layout, check_code, load_code,
-                      oracle_min_linear, parse_code, serialize_code, symbol,
-                      verify_exhaustive, verify_linear)
+                      oracle_min_linear, parse_code, serialize_code, solve_single,
+                      symbol, verify_exhaustive, verify_linear)
 
-from generators import make_instance, rand_code, rand_multi, rand_single
-from oracles import brute_min_linear
+from generators import (make_instance, rand_arcs, rand_code, rand_multi,
+                        rand_senders, rand_single)
+from oracles import brute_min_linear, reference_verify_linear
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -139,6 +140,71 @@ def test_verifiers_agree_on_random_codes():
         b = verify_exhaustive(inst, code)
         assert a.valid == b.valid
         assert a.failures == b.failures
+
+
+def _mixed_valid_code(rng, inst) -> LinearIndexCode:
+    """Every requested bit sent uncoded by its first owner, then random
+    XORs of one symbol into another of the same sender: the span and so
+    the validity stay, the symbols become coded."""
+    rows = []
+    for msg in sorted({i for (i, _) in inst.arcs}):
+        owner = next(k for k, s in enumerate(inst.senders, start=1) if msg in s)
+        rows += [(owner, {(msg, b)}) for b in range(1, inst.q[msg - 1] + 1)]
+    for _ in range(2 * len(rows) if len(rows) > 1 else 0):
+        (sa, a), (sb, b) = rng.sample(rows, 2)
+        if sa == sb:
+            a ^= b  # in place: the row's term set changes
+    rng.shuffle(rows)
+    return LinearIndexCode(tuple(symbol(s, *terms) for (s, terms) in rows))
+
+
+def test_verify_linear_matches_reference_on_weighted_multi_sender():
+    rng = random.Random(43)
+    valid = invalid = 0
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        inst = make_instance(n, rand_arcs(rng, n, rng.uniform(0.15, 0.55)),
+                             rand_senders(rng, n), [rng.randint(1, 3) for _ in range(n)])
+        total = bit_layout(inst)[1]
+        mixed = _mixed_valid_code(rng, inst)
+        for code in (rand_code(rng, inst, max_len=total + 2), mixed,
+                     LinearIndexCode(mixed.symbols[1:])):
+            rep = verify_linear(inst, code)
+            assert rep == reference_verify_linear(inst, code)
+            if total <= 12:
+                assert rep == verify_exhaustive(inst, code)
+            valid += rep.valid
+            invalid += not rep.valid
+    assert valid > 100 and invalid > 100
+
+
+def test_verify_linear_matches_reference_on_deleted_optimal_symbols():
+    # n = 150, one sender, q in [1, 3], shuffled labels: 8 cycles (leaf
+    # SCCs, sent coded), 10 feeders wanted by cycle vertices, 20 sinks
+    # wanting feeders, the rest idle
+    rng = random.Random(47)
+    label = list(range(1, 151))
+    rng.shuffle(label)
+    arcs, cycles, v = [], [], 0
+    for _ in range(8):
+        k = rng.randint(2, 4)
+        cyc = label[v:v + k]
+        arcs += [[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        cycles += cyc
+        v += k
+    feeders, sinks = label[v:v + 10], label[v + 10:v + 30]
+    arcs += [[f, c] for f in feeders for c in rng.sample(cycles, rng.randint(1, 2))]
+    arcs += [[f, s] for s in sinks for f in rng.sample(feeders, rng.randint(1, 2))]
+    inst = make_instance(150, arcs, [list(range(1, 151))],
+                         [rng.randint(1, 3) for _ in range(150)])
+    code = solve_single(inst).code
+    assert verify_linear(inst, code).valid
+    assert any(len(sym.terms) > 1 for sym in code.symbols)
+    for k in range(len(code)):
+        short = LinearIndexCode(code.symbols[:k] + code.symbols[k + 1:])
+        rep = verify_linear(inst, short)
+        assert not rep.valid
+        assert rep == reference_verify_linear(inst, short)
 
 
 def test_oracle_frozen_values():
