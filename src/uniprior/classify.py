@@ -9,6 +9,7 @@ raising the optimal codelength, and non-degenerated otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,27 +44,6 @@ def _require_leaf_scc(g: WorkGraph, scc: frozenset[int]) -> None:
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
 
 
-def _u_components_within(u: MessageGraph, scc: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of the message graph restricted to scc,
-    ordered by smallest vertex."""
-    left = set(scc)
-    comps = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in u.neighbors(v):
-                if w in left and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        left -= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
-
-
 def check_degeneracy_witness(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
                              w: DegeneracyWitness) -> bool:
     """The three witness conditions, checked directly from g and u."""
@@ -89,44 +69,59 @@ def check_degeneracy_witness(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
     return u.neighbors_of_set(w.s_inside) <= covered
 
 
-def find_degeneracy_witness(g: WorkGraph, u: MessageGraph,
-                            scc: frozenset[int]) -> DegeneracyWitness | None:
-    """Canonical witness search.
+def witness_options(g: WorkGraph, u: MessageGraph,
+                    scc: frozenset[int]) -> Iterator[DegeneracyWitness]:
+    """Every admissible append of a semi leaf SCC, canonical one first:
+    each message component inside the SCC as s_inside, each canonical
+    s_outside (all real outside leaves plus at most one non-leaf), each
+    v_inside in the component, and as target any of those leaves when
+    s_outside has no non-leaf, else the non-leaf.
 
     Any valid s_inside is a union of connected components of the message
     graph restricted to the SCC, and if a union works then each member
     component works with the same s_outside, so trying single components
-    is complete.  The canonical s_outside is every leaf outside the SCC
-    plus at most one non-leaf; enlarging s_outside only helps, so this
-    is complete too.  Dummy vertices are left out of witnesses: their
+    is complete.  Enlarging s_outside only helps, so the canonical ones
+    are complete too.  Dummy vertices are left out of witnesses: their
     correctness argument is the disconnected-append one, not this one.
-
-    Callers must ensure the SCC is semi; that precondition is not
-    re-derived here.
     """
     leaves = leaf_vertices(g)
     outside_leaves = frozenset(v for v in leaves if v not in scc and v not in g.dummies)
     non_leaves_outside = sorted(v for v in g.vertices
                                 if v not in scc and v not in leaves and v not in g.dummies)
-    for comp in _u_components_within(u, scc):
+    base_cover = set(outside_leaves)
+    for v in outside_leaves:
+        base_cover |= predecessors(g, v)
+    for comp in u.components_within(scc):
         if comp == scc:
             continue  # s_inside must be a proper subset
         nbrs = u.neighbors_of_set(comp)
         if nbrs & scc:
             continue  # a message edge crosses to the rest of the SCC
-        base_cover = set(outside_leaves)
-        for v in outside_leaves:
-            base_cover |= predecessors(g, v)
-        for w in [None, *non_leaves_outside]:
-            s_outside = outside_leaves if w is None else outside_leaves | {w}
-            if not s_outside:
-                continue
-            cover = base_cover if w is None else base_cover | {w} | predecessors(g, w)
-            if nbrs <= cover:
-                target = w if w is not None else min(s_outside)
-                return DegeneracyWitness(s_inside=comp, s_outside=frozenset(s_outside),
-                                         v_inside=min(comp), target=target)
-    return None
+        # condition (c) with s_outside = outside leaves + w: what the
+        # leaves' cover misses must be w or precede w
+        missed = nbrs - base_cover
+        if outside_leaves and not missed:
+            for v_inside in sorted(comp):
+                for target in sorted(outside_leaves):
+                    yield DegeneracyWitness(s_inside=comp, s_outside=outside_leaves,
+                                            v_inside=v_inside, target=target)
+        for w in non_leaves_outside:
+            rest = missed - {w}
+            if not rest or rest <= predecessors(g, w):
+                s_outside = outside_leaves | {w}
+                for v_inside in sorted(comp):
+                    yield DegeneracyWitness(s_inside=comp, s_outside=s_outside,
+                                            v_inside=v_inside, target=w)
+
+
+def find_degeneracy_witness(g: WorkGraph, u: MessageGraph,
+                            scc: frozenset[int]) -> DegeneracyWitness | None:
+    """Canonical witness: the first of witness_options, or None.
+
+    Callers must ensure the SCC is semi; that precondition is not
+    re-derived here.
+    """
+    return next(witness_options(g, u, scc), None)
 
 
 def classify_leaf_scc(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
@@ -135,16 +130,13 @@ def classify_leaf_scc(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> Lea
     _require_leaf_scc(g, scc)
     if u.connected_within(scc):
         return LeafSccClass(kind=Kind.MESSAGE_CONNECTED)
-    comp_of: dict[int, int] = {}
-    for k, comp in enumerate(u.components()):
-        for v in comp:
-            comp_of[v] = k
-    vs = sorted(scc)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if comp_of[vs[a]] != comp_of[vs[b]]:
-                return LeafSccClass(kind=Kind.MESSAGE_DISCONNECTED,
-                                    disconnected_pair=(vs[a], vs[b]))
+    # the first pair (a, b) in sorted order split across components
+    # always has a = min(scc)
+    first = min(scc)
+    for b in sorted(scc):
+        if u.component_of(b) != u.component_of(first):
+            return LeafSccClass(kind=Kind.MESSAGE_DISCONNECTED,
+                                disconnected_pair=(first, b))
     witness = find_degeneracy_witness(g, u, scc)
     if witness is not None:
         return LeafSccClass(kind=Kind.DEGENERATED, degeneracy=witness)

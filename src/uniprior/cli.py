@@ -315,10 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built on the first main() call, not at import, and reused after it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; that status means "verification
         # failed" here, so remap (0 stays 0 for --help)

@@ -4,6 +4,10 @@ WorkGraph is the object pruning and appending operate on.  Instances of
 it are treated as values: every mutation helper returns a fresh graph.
 Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
+
+Because graphs are values, each query below runs at most once per
+graph: the SCC partition, the leaf set and each vertex's predecessors
+are stored on the graph on first use.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ class WorkGraph:
             self._out[v] = tuple(sorted(ns))
         for v, ns in inn.items():
             self._in[v] = tuple(sorted(ns))
+        # Derived structure, filled on first query (see the module
+        # docstring); _classes holds leaf-SCC classes for Algorithm 2.
+        self._scc: SccPartition | None = None
+        self._leaves: frozenset[int] | None = None
+        self._preds: dict[int, frozenset[int]] = {}
+        self._classes: dict = {}
 
     @classmethod
     def from_instance(cls, inst: Instance) -> WorkGraph:
@@ -99,6 +109,12 @@ class SccPartition:
 def scc_partition(g: WorkGraph) -> SccPartition:
     """Tarjan's algorithm, iterative.  Components are listed by smallest
     contained vertex so traces are reproducible."""
+    if g._scc is None:
+        g._scc = _tarjan(g)
+    return g._scc
+
+
+def _tarjan(g: WorkGraph) -> SccPartition:
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -158,7 +174,9 @@ def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
 
 def leaf_vertices(g: WorkGraph) -> frozenset[int]:
     """Vertices with no outgoing arcs; their messages are wanted by no one."""
-    return frozenset(v for v in g.vertices if g.out_degree(v) == 0)
+    if g._leaves is None:
+        g._leaves = frozenset(v for v in g.vertices if g.out_degree(v) == 0)
+    return g._leaves
 
 
 def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
@@ -166,6 +184,9 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
 
     v itself is included only when it lies on a cycle through itself.
     """
+    preds = g._preds.get(v)
+    if preds is not None:
+        return preds
     if v not in g.weight:
         raise ValueError(f"vertex {v} not in graph")
     seen: set[int] = set()
@@ -176,7 +197,8 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
             continue
         seen.add(u)
         frontier.extend(g.in_neighbors(u))
-    return frozenset(seen)
+    preds = g._preds[v] = frozenset(seen)
+    return preds
 
 
 def is_grounded(g: WorkGraph) -> bool:

@@ -32,22 +32,30 @@ class Instance:
 
 @dataclass(frozen=True)
 class MessageGraph:
-    """Undirected graph with an edge {i, j} when some sender owns both."""
+    """Undirected graph with an edge {i, j} when some sender owns both.
+
+    The adjacency is built once, on construction, and the components on
+    their first query; neither is a dataclass field, so equality,
+    hashing and repr still see n and the edges only.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]  # stored as (min, max) pairs
+
+    def __post_init__(self):
+        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+        for (a, b) in self.edges:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_comps", None)
+        object.__setattr__(self, "_comp_of", None)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for (a, b) in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return set(self._adj.get(v, ()))
 
     def neighbors_of_set(self, vs: frozenset[int] | set[int]) -> set[int]:
         """Vertices outside vs adjacent to some member of vs."""
@@ -56,40 +64,44 @@ class MessageGraph:
             out |= self.neighbors(v)
         return out - set(vs)
 
-    def connected_within(self, vs: frozenset[int] | set[int]) -> bool:
-        """Is the subgraph induced on vs connected (edges inside vs only)?"""
+    def components_within(self, vs: frozenset[int] | set[int] | range) -> list[frozenset[int]]:
+        """Connected components of the subgraph induced on vs (edges
+        inside vs only), ordered by smallest member."""
         vs = set(vs)
-        if not vs:
-            return True
-        start = min(vs)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components over vertices 1..n, ordered by smallest member."""
         seen: set[int] = set()
         comps = []
-        for v in range(1, self.n + 1):
-            if v in seen:
+        for start in sorted(vs):
+            if start in seen:
                 continue
-            comp = {v}
-            stack = [v]
+            comp = {start}
+            stack = [start]
             while stack:
-                u = stack.pop()
-                for w in self.neighbors(u):
-                    if w not in comp:
+                for w in self._adj.get(stack.pop(), ()):
+                    if w in vs and w not in comp:
                         comp.add(w)
                         stack.append(w)
             seen |= comp
             comps.append(frozenset(comp))
         return comps
+
+    def connected_within(self, vs: frozenset[int] | set[int]) -> bool:
+        """Is the subgraph induced on vs connected (edges inside vs only)?"""
+        return len(self.components_within(vs)) <= 1
+
+    def components(self) -> list[frozenset[int]]:
+        """Connected components over vertices 1..n, ordered by smallest member."""
+        if self._comps is None:
+            comps = tuple(self.components_within(range(1, self.n + 1)))
+            object.__setattr__(self, "_comps", comps)
+            object.__setattr__(self, "_comp_of",
+                               {v: k for k, comp in enumerate(comps) for v in comp})
+        return list(self._comps)
+
+    def component_of(self, v: int) -> int:
+        """Index in components() of the component holding v."""
+        if self._comp_of is None:
+            self.components()
+        return self._comp_of[v]
 
 
 @dataclass(frozen=True)

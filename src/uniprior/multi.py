@@ -14,9 +14,9 @@ from itertools import combinations
 
 from .classify import (DegeneracyWitness, Kind, check_degeneracy_witness,
                        classify_leaf_scc, find_degeneracy_witness,
-                       _u_components_within)
+                       witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, predecessors, v_out
+from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -134,48 +134,17 @@ def prune_leaf_scc(g: WorkGraph, scc: frozenset[int], vertex: int | None = None)
     return g.without_out_arcs(pick)
 
 
-# ------------------------------------------------- witness enumeration
-
-def _witness_options(g: WorkGraph, u: MessageGraph,
-                     scc: frozenset[int]) -> list[DegeneracyWitness]:
-    """Every admissible append of a semi leaf SCC: each message-component
-    as s_inside, each canonical s_outside (all real outside leaves plus
-    at most one non-leaf), each allowed v_inside and target."""
-    leaves = leaf_vertices(g)
-    outside_leaves = frozenset(v for v in leaves if v not in scc and v not in g.dummies)
-    non_leaves_outside = sorted(v for v in g.vertices
-                                if v not in scc and v not in leaves and v not in g.dummies)
-    base_cover = set(outside_leaves)
-    for v in outside_leaves:
-        base_cover |= predecessors(g, v)
-    out = []
-    for comp in _u_components_within(u, scc):
-        if comp == scc:
-            continue
-        nbrs = u.neighbors_of_set(comp)
-        if nbrs & scc:
-            continue
-        for w in [None, *non_leaves_outside]:
-            s_outside = outside_leaves if w is None else outside_leaves | {w}
-            if not s_outside:
-                continue
-            cover = base_cover if w is None else base_cover | {w} | predecessors(g, w)
-            if not nbrs <= cover:
-                continue
-            targets = sorted(s_outside) if w is None else [w]
-            for v_inside in sorted(comp):
-                for target in targets:
-                    out.append(DegeneracyWitness(s_inside=comp,
-                                                 s_outside=frozenset(s_outside),
-                                                 v_inside=v_inside, target=target))
-    return out
-
-
 # ------------------------------------------------------- Algorithm 2
 
 def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind):
+    """The first leaf SCC of g, in partition order, of the given kind.
+    Each (graph, message graph, leaf SCC) is classified once; the append
+    phase and the main loop scan one graph state several times."""
     for scc in leaf_scc_sets(g):
-        cls = classify_leaf_scc(g, u, scc)
+        key = (u, scc)
+        cls = g._classes.get(key)
+        if cls is None:
+            cls = g._classes[key] = classify_leaf_scc(g, u, scc)
         if cls.kind is kind:
             return scc, cls
     return None, None
@@ -318,10 +287,6 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     _require_binary(inst)
     g0 = WorkGraph.from_instance(inst)
     u = derive_message_graph(inst)
-    comp_of: dict[int, int] = {}
-    for k, comp in enumerate(u.components()):
-        for v in comp:
-            comp_of[v] = k
     memo: dict = {}
     counter = {"states": 0, "truncated": False}
 
@@ -341,12 +306,12 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
         best = 0
         for scc in sccs:
             if not u.connected_within(scc):
-                if len({comp_of[v] for v in scc}) > 1:
+                if len({u.component_of(v) for v in scc}) > 1:
                     # message-disconnected: the only append is a dummy sink
                     g2, _ = g.with_new_dummy(min(scc))
                     best = max(best, explore(g2))
                 else:
-                    for w in _witness_options(g, u, scc):
+                    for w in witness_options(g, u, scc):
                         best = max(best, explore(g.with_arc(w.v_inside, w.target)))
             for vtx in sorted(scc):
                 best = max(best, explore(g.without_out_arcs(vtx)))

@@ -64,6 +64,53 @@ def brute_predecessors(g: WorkGraph, v: int) -> set[int]:
     return {u for u in g.vertices if v in reach[u]}
 
 
+def reference_neighbors(u: MessageGraph, v: int) -> set[int]:
+    """Neighbors of v by a scan of the whole edge set."""
+    out = set()
+    for (a, b) in u.edges:
+        if a == v:
+            out.add(b)
+        elif b == v:
+            out.add(a)
+    return out
+
+
+def reference_components(u: MessageGraph) -> list[frozenset[int]]:
+    """Connected components over 1..n by BFS on edge-scan neighbors,
+    ordered by smallest member."""
+    seen: set[int] = set()
+    comps = []
+    for v in range(1, u.n + 1):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for w in reference_neighbors(u, x):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_connected_within(u: MessageGraph, vs) -> bool:
+    vs = set(vs)
+    if not vs:
+        return True
+    start = min(vs)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in reference_neighbors(u, stack.pop()):
+            if w in vs and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
+
+
 def powerset(items, minsize=1):
     items = list(items)
     return chain.from_iterable(combinations(items, r)

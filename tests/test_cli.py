@@ -247,3 +247,34 @@ def test_json_round_trips_into_report_values(files, capsys):
     got = [(s["kind"], s["scc"]) for s in doc["lower_report"]["steps"]]
     want = [(s.kind.value, sorted(s.scc)) for s in rep.lower_report.steps]
     assert got == want
+
+
+def test_reused_parser_matches_fresh_parsers(files, capsys, monkeypatch):
+    import uniprior.cli as cli
+
+    code_path = str(files["dir"] / "reuse.code.json")
+    calls = [
+        ("--format", "json", "bound", files["gap"]),
+        ("bound", files["gap"], "--format", "json", "--exhaustive"),
+        ("solve", files["ex2"]),
+        ("--format", "json", "validate", files["d1"]),
+        ("encode", files["gap"], "-o", code_path, "--format", "json"),
+        ("verify", files["gap"], code_path),
+        ("--format", "json", "trace", files["split"]),
+        ("oracle", files["d1"], "--max-bits", "0"),
+        ("frobnicate", files["ex2"]),
+        ("--help",),
+        ("solve", "--help"),
+        ("--format", "text", "oracle", files["d1"], "--format", "json"),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    parser = cli._parser
+    assert parser is not None
+    assert [run(capsys, *argv) for argv in calls] == reused
+    assert cli._parser is parser
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert fresh == reused
+    assert [status for status, _, _ in reused] == [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]

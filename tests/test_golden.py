@@ -1,0 +1,101 @@
+"""Golden corpus: Algorithm-2 step traces, bound reports and exhaustive
+bounds on 1 040 seeded instances, pinned by one sha256 per family.
+
+The digests were recorded from the implementation before graph queries
+were memoized.  Any change to a step, a witness, a final graph, a bound
+or an emitted code moves a digest.  To find the first instance that
+moved, compare ``_family_lines`` of the two implementations.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from uniprior import bound_multi, exhaustive_lower_bound, run_algorithm2
+
+from generators import (make_instance, rand_cyclic, rand_multi, rand_senders,
+                        rand_triples)
+
+EXHAUSTIVE_MAX_N = 6
+EXHAUSTIVE_MAX_STATES = 60
+
+
+def _big_sender_clusters(rng: random.Random):
+    """Disjoint 2- and 3-cycles with a few extra arcs under small
+    overlapping senders, plus one sender owning about 30% of the
+    messages: the shape whose witness searches dominate Algorithm 2."""
+    n = rng.randint(14, 26)
+    verts = list(range(1, n + 1))
+    rng.shuffle(verts)
+    arcs: list[list[int]] = []
+    i = 0
+    while i < n:
+        k = rng.randint(2, min(3, n - i)) if n - i >= 2 else 1
+        cyc = verts[i:i + k]
+        if len(cyc) >= 2:
+            arcs += [[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        i += k
+    for _ in range(n // 4):
+        a, b = rng.sample(range(1, n + 1), 2)
+        if [a, b] not in arcs:
+            arcs.append([a, b])
+    senders = rand_senders(rng, n, size_max=4, extra=n // 8)
+    senders.append(sorted(rng.sample(range(1, n + 1), round(0.3 * n))))
+    return make_instance(n, arcs, senders)
+
+
+# family: (generator, count)
+FAMILIES = {
+    "rand_cyclic": (lambda rng: rand_cyclic(rng, n_max=10, size_max=3), 320),
+    "rand_multi": (lambda rng: rand_multi(rng, n_max=8, size_max=3), 320),
+    "rand_triples": (lambda rng: rand_triples(rng, t_max=4), 200),
+    "big_sender": (_big_sender_clusters, 200),
+}
+
+DIGESTS = {
+    "rand_cyclic": "1d8dec94622c985678e10f5ea28e4e224fc02068953ccaba0924d52e3596354d",
+    "rand_multi": "f93513f2d19010cdd09b532bd060b3b49046d4c02476e7c6e480293e5180a295",
+    "rand_triples": "b17760e37ef35522acb0614686fc9dc64b9eb0ca47464406d7156235d0d297f4",
+    "big_sender": "1ea181283542a59fa73472c42b25f22ccf104b757d82a08734167b43fecbb9b5",
+}
+
+
+def _witness(w):
+    if w is None:
+        return None
+    return (sorted(w.s_inside), sorted(w.s_outside), w.v_inside, w.target)
+
+
+def _instance_line(inst) -> str:
+    lr = run_algorithm2(inst)
+    steps = [(st.kind.value, sorted(st.scc), st.phase, st.selected_vertex,
+              st.added_arc, st.dummy, _witness(st.witness)) for st in lr.steps]
+    g = lr.final_graph
+    final = (g.vertices, sorted(g.arcs), sorted(g.dummies))
+    rep = bound_multi(inst)
+    code = [(s.sender, s.terms) for s in rep.code.symbols]
+    bound = (rep.lower, rep.upper, rep.tight,
+             rep.tight_reason.value if rep.tight_reason else None, rep.trees_exact, code)
+    ex = None
+    if inst.n <= EXHAUSTIVE_MAX_N:
+        r = exhaustive_lower_bound(inst, max_states=EXHAUSTIVE_MAX_STATES)
+        ex = (r.bound, r.exact, r.states_visited)
+    return repr((lr.bound, lr.v_out_original, lr.connected_count, lr.iterations,
+                 steps, final, bound, ex))
+
+
+def _family_lines(family: str) -> list[str]:
+    make, count = FAMILIES[family]
+    rng = random.Random(f"golden:{family}")
+    return [_instance_line(make(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_golden_corpus_digest(family):
+    h = hashlib.sha256()
+    for line in _family_lines(family):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == DIGESTS[family]

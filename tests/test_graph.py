@@ -174,3 +174,42 @@ def test_without_out_arcs_and_with_arc():
     assert (2, 1) in g.arcs
     g2 = g.with_arc(1, 2)
     assert (1, 2) in g2.arcs
+
+
+def _answers(g):
+    return (scc_partition(g), leaf_scc_sets(g), leaf_vertices(g),
+            {v: predecessors(g, v) for v in g.vertices})
+
+
+def test_derived_graphs_answer_like_fresh_ones():
+    # queries fill a graph's caches; a graph derived from it must answer
+    # from its own arcs, exactly as a freshly built graph and the brute
+    # force do
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(150):
+        g = rand_graph(rng, rng.randint(2, 8))
+        before = _answers(g)
+        v = rng.choice(g.vertices)
+        i, j = rng.sample(g.vertices, 2)
+        derived = [g.without_out_arcs(v), g.with_arc(i, j), g.with_new_dummy(v)[0]]
+        for g2 in derived:
+            fresh = WorkGraph(g2.vertices, g2.arcs, g2.weight, g2.dummies)
+            assert _answers(g2) == _answers(fresh)
+            assert _answers(g2) == _answers(g2)
+            assert list(scc_partition(g2).components) == brute_sccs(g2)
+            assert leaf_scc_sets(g2) == brute_leaf_scc_sets(g2)
+            assert leaf_vertices(g2) == frozenset(
+                w for w in g2.vertices if not g2.out_neighbors(w))
+            for w in g2.vertices:
+                assert predecessors(g2, w) == frozenset(brute_predecessors(g2, w))
+            checked += 1
+        assert _answers(g) == before
+        assert _answers(g) == _answers(WorkGraph(g.vertices, g.arcs, g.weight))
+    assert checked == 450
+
+
+def test_leaf_scc_sets_returns_a_new_list():
+    g = EX2_GRAPH.without_out_arcs(4)
+    leaf_scc_sets(g).append(frozenset({4}))
+    assert leaf_scc_sets(g) == [frozenset({1, 2, 3})]

@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 from uniprior import (Instance, ParseError, derive_message_graph, load_instance,
                       parse_instance, serialize_instance, validate)
 
-from generators import make_instance, rand_multi
+from generators import make_instance, rand_multi, rand_senders
+from oracles import (reference_components, reference_connected_within,
+                     reference_neighbors)
 
 EX2 = {"n": 5, "q": [1, 2, 2, 2, 2],
        "arcs": [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
@@ -143,3 +145,36 @@ def test_message_graph_neighbors():
     assert u.neighbors(3) == frozenset({1, 2})
     assert u.neighbors(1) == frozenset({3})
     assert u.neighbors_of_set(frozenset({1, 2})) == frozenset({3})
+
+
+def test_message_graph_matches_edge_scan_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        inst = make_instance(n, [], rand_senders(rng, n, size_max=rng.randint(2, 5)))
+        u = derive_message_graph(inst)
+        for v in range(1, n + 1):
+            assert u.neighbors(v) == reference_neighbors(u, v)
+        comps = reference_components(u)
+        assert u.components() == comps
+        for k, comp in enumerate(comps):
+            assert all(u.component_of(v) == k for v in comp)
+        for _ in range(5):
+            vs = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            assert u.connected_within(vs) == reference_connected_within(u, vs)
+            within = u.components_within(vs)
+            assert sorted(v for c in within for v in c) == sorted(vs)
+            assert [min(c) for c in within] == sorted(min(c) for c in within)
+            assert all(reference_connected_within(u, c) for c in within)
+            assert all(not reference_connected_within(u, a | b)
+                       for a in within for b in within if a != b)
+
+
+def test_message_graph_queries_return_copies():
+    u = derive_message_graph(make_instance(3, [], [[1, 3], [2, 3]]))
+    u.neighbors(3).add(99)
+    u.components().append(frozenset({99}))
+    assert u.neighbors(3) == {1, 2}
+    assert u.components() == [frozenset({1, 2, 3})]
+    assert u == derive_message_graph(make_instance(3, [], [[2, 3], [1, 3]]))
+    assert repr(u) == f"MessageGraph(n=3, edges={u.edges!r})"
