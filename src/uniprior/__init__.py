@@ -16,7 +16,7 @@ from .codes import (CapExceededError, CodeSymbol, Gf2Basis, LinearIndexCode,
                     verify_linear)
 from .graph import (SccPartition, WorkGraph, is_grounded, leaf_scc_sets,
                     leaf_vertices, predecessor_weight_bound, predecessors,
-                    scc_partition, v_out)
+                    reach, scc_partition, v_out)
 from .instance import (Instance, MessageGraph, ParseError, ValidationReport,
                        derive_message_graph, load_instance, parse_instance,
                        serialize_instance, validate)
@@ -36,7 +36,7 @@ __all__ = [
     "parse_instance", "serialize_instance", "load_instance", "validate",
     "derive_message_graph",
     "WorkGraph", "SccPartition", "scc_partition", "leaf_scc_sets",
-    "leaf_vertices", "predecessors", "is_grounded",
+    "leaf_vertices", "predecessors", "reach", "is_grounded",
     "predecessor_weight_bound", "v_out",
     "CodeSymbol", "LinearIndexCode", "VerifyReport", "OracleResult",
     "MalformedCodeError", "CapExceededError", "Gf2Basis", "bit_layout",

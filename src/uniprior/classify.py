@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, predecessors
+from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, predecessors, reach
 from .instance import MessageGraph
 
 
@@ -98,20 +98,25 @@ def witness_options(g: WorkGraph, u: MessageGraph,
         if nbrs & scc:
             continue  # a message edge crosses to the rest of the SCC
         # condition (c) with s_outside = outside leaves + w: what the
-        # leaves' cover misses must be w or precede w
+        # leaves' cover misses must be w or precede w, so w is reachable
+        # from every missed vertex (or is the one missed vertex)
         missed = nbrs - base_cover
         if outside_leaves and not missed:
             for v_inside in sorted(comp):
                 for target in sorted(outside_leaves):
                     yield DegeneracyWitness(s_inside=comp, s_outside=outside_leaves,
                                             v_inside=v_inside, target=target)
-        for w in non_leaves_outside:
-            rest = missed - {w}
-            if not rest or rest <= predecessors(g, w):
-                s_outside = outside_leaves | {w}
-                for v_inside in sorted(comp):
-                    yield DegeneracyWitness(s_inside=comp, s_outside=s_outside,
-                                            v_inside=v_inside, target=w)
+        candidates = non_leaves_outside
+        for x in missed:
+            if not candidates:
+                break
+            fwd = reach(g, x)
+            candidates = [w for w in candidates if w == x or w in fwd]
+        for w in candidates:
+            s_outside = outside_leaves | {w}
+            for v_inside in sorted(comp):
+                yield DegeneracyWitness(s_inside=comp, s_outside=s_outside,
+                                        v_inside=v_inside, target=w)
 
 
 def find_degeneracy_witness(g: WorkGraph, u: MessageGraph,

@@ -5,16 +5,33 @@ it are treated as values: every mutation helper returns a fresh graph.
 Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
 
-Because graphs are values, each query below runs at most once per
-graph: the SCC partition, the leaf set and each vertex's predecessors
-are stored on the graph on first use.
+Because graphs are values, derived structure is stored on the graph on
+first use: the SCC partition, the leaf set, and each vertex's
+predecessors and forward reach.  A graph made from another by one step
+(``with_arc``, ``without_out_arcs``, ``with_new_dummy``) is not rebuilt:
+it patches its parent's adjacency and checks only the new arc.  If the
+parent's SCC partition was computed when the step was taken, the child
+keeps that partition and the step, and on first query inherits its own
+partition by a local update (``_child_partition``): one step changes
+only the SCC of the vertex it touches.  A child never holds its parent
+graph, so no chain of graphs stays alive.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .instance import Instance
+
+
+def _check_arc(i: int, j: int, vertices, dummies) -> None:
+    if i == j:
+        raise ValueError(f"self-arc ({i}, {j})")
+    if i not in vertices or j not in vertices:
+        raise ValueError(f"arc ({i}, {j}) endpoint not a vertex")
+    if i in dummies:
+        raise ValueError(f"dummy vertex {i} cannot source an arc")
 
 
 class WorkGraph:
@@ -25,12 +42,7 @@ class WorkGraph:
         self.dummies: frozenset[int] = frozenset(dummies)
         vs = set(self.vertices)
         for (i, j) in self.arcs:
-            if i == j:
-                raise ValueError(f"self-arc ({i}, {j})")
-            if i not in vs or j not in vs:
-                raise ValueError(f"arc ({i}, {j}) endpoint not a vertex")
-            if i in self.dummies:
-                raise ValueError(f"dummy vertex {i} cannot source an arc")
+            _check_arc(i, j, vs, self.dummies)
         for d in self.dummies:
             if self.weight.get(d, 0) != 0:
                 raise ValueError(f"dummy vertex {d} must have weight 0")
@@ -45,12 +57,31 @@ class WorkGraph:
             self._out[v] = tuple(sorted(ns))
         for v, ns in inn.items():
             self._in[v] = tuple(sorted(ns))
+        self._init_derived(None)
+
+    def _init_derived(self, base) -> None:
         # Derived structure, filled on first query (see the module
         # docstring); _classes holds leaf-SCC classes for Algorithm 2.
         self._scc: SccPartition | None = None
         self._leaves: frozenset[int] | None = None
         self._preds: dict[int, frozenset[int]] = {}
+        self._reach: dict[int, frozenset[int]] = {}
         self._classes: dict = {}
+        # (parent's partition, step) until this graph's partition is derived
+        self._base: tuple[SccPartition, tuple | None] | None = base
+
+    def _child(self, step: tuple | None, arcs, out, inn, vertices=None, weight=None,
+               dummies=None) -> WorkGraph:
+        """A graph one step from this one, on the given patched adjacency;
+        step None means the child equals this graph."""
+        g = WorkGraph.__new__(WorkGraph)
+        g.vertices = self.vertices if vertices is None else vertices
+        g.arcs = arcs
+        g.weight = self.weight if weight is None else weight
+        g.dummies = self.dummies if dummies is None else dummies
+        g._out, g._in = out, inn
+        g._init_derived(None if self._scc is None else (self._scc, step))
+        return g
 
     @classmethod
     def from_instance(cls, inst: Instance) -> WorkGraph:
@@ -73,16 +104,40 @@ class WorkGraph:
         return WorkGraph(self.vertices, arcs, self.weight, self.dummies)
 
     def with_arc(self, i: int, j: int) -> WorkGraph:
-        return self.with_arcs(self.arcs | {(i, j)})
+        _check_arc(i, j, self._out, self.dummies)
+        if j in self._out[i]:
+            return self._child(None, self.arcs, self._out, self._in)
+        out = dict(self._out)
+        out[i] = tuple(sorted(out[i] + (j,)))
+        inn = dict(self._in)
+        inn[j] = tuple(sorted(inn[j] + (i,)))
+        return self._child(("arc", i, j), self.arcs | {(i, j)}, out, inn)
 
     def without_out_arcs(self, v: int) -> WorkGraph:
-        return self.with_arcs({(i, j) for (i, j) in self.arcs if i != v})
+        outs = self._out.get(v, ())
+        if not outs:
+            return self._child(None, self.arcs, self._out, self._in)
+        out = dict(self._out)
+        out[v] = ()
+        inn = dict(self._in)
+        for w in outs:
+            inn[w] = tuple(x for x in inn[w] if x != v)
+        return self._child(("prune", v), self.arcs.difference([(v, w) for w in outs]),
+                           out, inn)
 
     def with_new_dummy(self, source: int) -> tuple[WorkGraph, int]:
         """Add a fresh dummy vertex and an arc source -> dummy."""
         d = max(self.vertices) + 1
-        g = WorkGraph(self.vertices + (d,), self.arcs | {(source, d)},
-                      {**self.weight, d: 0}, self.dummies | {d})
+        vertices = self.vertices + (d,)
+        _check_arc(source, d, vertices, self.dummies)
+        out = dict(self._out)
+        out[source] += (d,)  # d is the largest vertex, so this stays sorted
+        out[d] = ()
+        inn = dict(self._in)
+        inn[d] = (source,)
+        g = self._child(("dummy", source, d), self.arcs | {(source, d)}, out, inn,
+                        vertices=vertices, weight={**self.weight, d: 0},
+                        dummies=self.dummies | {d})
         return g, d
 
     def __eq__(self, other) -> bool:
@@ -107,14 +162,84 @@ class SccPartition:
 
 
 def scc_partition(g: WorkGraph) -> SccPartition:
-    """Tarjan's algorithm, iterative.  Components are listed by smallest
-    contained vertex so traces are reproducible."""
+    """Tarjan's algorithm, iterative, or the parent's partition updated
+    by one step.  Components are listed by smallest contained vertex so
+    traces are reproducible."""
     if g._scc is None:
-        g._scc = _tarjan(g)
+        g._scc = _tarjan(g) if g._base is None else _child_partition(g, *g._base)
+        g._base = None
     return g._scc
 
 
+def _is_leaf(g: WorkGraph, comp: frozenset[int]) -> bool:
+    return len(comp) >= 2 and all(w in comp for v in comp for w in g._out[v])
+
+
 def _tarjan(g: WorkGraph) -> SccPartition:
+    comps = _strong_components(g._out, g.vertices)
+    comps.sort(key=min)
+    return SccPartition(components=tuple(comps),
+                        leaf_flags=tuple(_is_leaf(g, c) for c in comps))
+
+
+def _child_partition(g: WorkGraph, parent: SccPartition, step: tuple | None) -> SccPartition:
+    """g's partition from the partition of the graph one step before it.
+
+    Only the SCC C of the step's source vertex a can change:
+    - prune of a: a path between two vertices of another SCC never
+      passes through a (a would belong to that SCC), so only C can
+      split; Tarjan runs on C's arcs alone.
+    - new arc (a, b): inside C nothing changes.  Across SCCs, C stops
+      being a leaf unless b reaches a; then every vertex on a path from
+      b to a joins one SCC with C.
+    - new dummy d under a: d is a singleton listed last (it is the
+      largest vertex), and C stops being a leaf.
+    Every other SCC keeps its vertices and out-arcs, hence its flag.
+    """
+    if step is None:
+        return parent
+    kind, a = step[0], step[1]
+    pairs = list(zip(parent.components, parent.leaf_flags))
+    k = next(k for k, (c, _) in enumerate(pairs) if a in c)
+    comp = pairs[k][0]
+    if kind == "prune":
+        del pairs[k]
+        out = {v: tuple(w for w in g._out[v] if w in comp) for v in comp}
+        for c in _strong_components(out, sorted(comp)):
+            insort(pairs, (c, _is_leaf(g, c)), key=_pair_min)
+    elif kind == "dummy":
+        pairs[k] = (comp, False)
+        pairs.append((frozenset((step[2],)), False))
+    else:
+        b = step[2]
+        if b in comp:
+            return parent
+        fwd = reach(g, b)
+        if a not in fwd:
+            pairs[k] = (comp, False)
+        else:
+            # the vertices reachable from b that reach a
+            merged = {a}
+            stack = [a]
+            while stack:
+                for x in g._in[stack.pop()]:
+                    if x in fwd and x not in merged:
+                        merged.add(x)
+                        stack.append(x)
+            merged = frozenset(merged)
+            pairs = [p for p in pairs if not p[0] <= merged]
+            insort(pairs, (merged, _is_leaf(g, merged)), key=_pair_min)
+    return SccPartition(components=tuple(c for c, _ in pairs),
+                        leaf_flags=tuple(f for _, f in pairs))
+
+
+def _pair_min(pair) -> int:
+    return min(pair[0])
+
+
+def _strong_components(out, roots) -> list[frozenset[int]]:
+    """Tarjan's SCCs of the graph given by out (vertex -> sorted out-
+    neighbors), searched from roots in order."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -122,7 +247,7 @@ def _tarjan(g: WorkGraph) -> SccPartition:
     counter = 0
     comps: list[frozenset[int]] = []
 
-    for root in g.vertices:
+    for root in roots:
         if root in index:
             continue
         # explicit DFS stack of (vertex, iterator position)
@@ -135,7 +260,7 @@ def _tarjan(g: WorkGraph) -> SccPartition:
                 stack.append(v)
                 on_stack.add(v)
             recurse = False
-            ns = g.out_neighbors(v)
+            ns = out[v]
             for k in range(pi, len(ns)):
                 w = ns[k]
                 if w not in index:
@@ -159,13 +284,7 @@ def _tarjan(g: WorkGraph) -> SccPartition:
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-
-    comps.sort(key=min)
-    flags = []
-    for comp in comps:
-        leaf = len(comp) >= 2 and all(w in comp for v in comp for w in g.out_neighbors(v))
-        flags.append(leaf)
-    return SccPartition(components=tuple(comps), leaf_flags=tuple(flags))
+    return comps
 
 
 def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
@@ -175,8 +294,21 @@ def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
 def leaf_vertices(g: WorkGraph) -> frozenset[int]:
     """Vertices with no outgoing arcs; their messages are wanted by no one."""
     if g._leaves is None:
-        g._leaves = frozenset(v for v in g.vertices if g.out_degree(v) == 0)
+        g._leaves = frozenset(v for v, ns in g._out.items() if not ns)
     return g._leaves
+
+
+def _closure(adj: dict[int, tuple[int, ...]], v: int) -> frozenset[int]:
+    """Vertices reached from v by >= 1 step along adj."""
+    seen: set[int] = set()
+    frontier = list(adj[v])
+    while frontier:
+        u = frontier.pop()
+        if u in seen:
+            continue
+        seen.add(u)
+        frontier.extend(adj[u])
+    return frozenset(seen)
 
 
 def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
@@ -185,20 +317,22 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
     v itself is included only when it lies on a cycle through itself.
     """
     preds = g._preds.get(v)
-    if preds is not None:
-        return preds
-    if v not in g.weight:
-        raise ValueError(f"vertex {v} not in graph")
-    seen: set[int] = set()
-    frontier = list(g.in_neighbors(v))
-    while frontier:
-        u = frontier.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        frontier.extend(g.in_neighbors(u))
-    preds = g._preds[v] = frozenset(seen)
+    if preds is None:
+        if v not in g._in:
+            raise ValueError(f"vertex {v} not in graph")
+        preds = g._preds[v] = _closure(g._in, v)
     return preds
+
+
+def reach(g: WorkGraph, v: int) -> frozenset[int]:
+    """All vertices with a nonempty directed path from v; the mirror of
+    predecessors, memoized the same way."""
+    found = g._reach.get(v)
+    if found is None:
+        if v not in g._out:
+            raise ValueError(f"vertex {v} not in graph")
+        found = g._reach[v] = _closure(g._out, v)
+    return found
 
 
 def is_grounded(g: WorkGraph) -> bool:

@@ -95,6 +95,17 @@ def _require_binary(inst: Instance) -> None:
         raise BinaryRequiredError("all messages must be one bit long here")
 
 
+def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
+    """The instance's work graph and message graph, built on first use and
+    kept on the instance (not as a dataclass field), so that the steps of
+    one bound share them.  Graphs are values, so sharing them is safe."""
+    graphs = inst.__dict__.get("_graphs")
+    if graphs is None:
+        graphs = (WorkGraph.from_instance(inst), derive_message_graph(inst))
+        object.__setattr__(inst, "_graphs", graphs)
+    return graphs
+
+
 def _require_unit_weights(g: WorkGraph) -> None:
     if any(g.weight[v] != 1 for v in g.vertices if v not in g.dummies):
         raise BinaryRequiredError("all real vertices must have weight 1 here")
@@ -214,8 +225,7 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
     The bound is V_out minus one per pruning step.
     """
     _require_binary(inst)
-    g = WorkGraph.from_instance(inst)
-    u = derive_message_graph(inst)
+    g, u = _graphs(inst)
     v_out_orig = v_out(g)
     limit = step_limit(inst.n)
     steps: list[StepRecord] = []
@@ -285,8 +295,7 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     but possibly loose; the result is flagged inexact.
     """
     _require_binary(inst)
-    g0 = WorkGraph.from_instance(inst)
-    u = derive_message_graph(inst)
+    g0, u = _graphs(inst)
     memo: dict = {}
     counter = {"states": 0, "truncated": False}
 
@@ -372,8 +381,7 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
     over single-vertex closures, flagged inexact.
     """
     _require_binary(inst)
-    g = WorkGraph.from_instance(inst)
-    u = derive_message_graph(inst)
+    g, u = _graphs(inst)
     mc = _message_connected_leaf_sccs(g, u)
     blocked = frozenset().union(*mc) if mc else frozenset()
     real = g.real_vertices()
@@ -449,8 +457,7 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
     message uncoded.  Each symbol goes to the smallest sender that owns
     its messages."""
     _require_binary(inst)
-    g = WorkGraph.from_instance(inst)
-    u = derive_message_graph(inst)
+    g, u = _graphs(inst)
     mc = _message_connected_leaf_sccs(g, u)
     blocked = frozenset().union(*mc) if mc else frozenset()
 

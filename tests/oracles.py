@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from uniprior import (Gf2Basis, Instance, LinearIndexCode, MessageGraph,
-                      VerifyReport, WorkGraph, bit_layout, check_code,
+from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
+                      MessageGraph, VerifyReport, WorkGraph, bit_layout,
+                      check_code, leaf_vertices, predecessors,
                       verify_exhaustive)
 from uniprior.codes import _coord, symbol_vectors
 
@@ -141,6 +142,40 @@ def brute_witness_exists(g: WorkGraph, u: MessageGraph,
             if nbrs <= allowed:
                 return True
     return False
+
+
+def reference_witness_options(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
+    """The witness enumerator before the forward-reach filter: every
+    non-leaf outside vertex w is tested by one predecessor set,
+    predecessors(g, w), in sorted order."""
+    leaves = leaf_vertices(g)
+    outside_leaves = frozenset(v for v in leaves if v not in scc and v not in g.dummies)
+    non_leaves_outside = sorted(v for v in g.vertices
+                                if v not in scc and v not in leaves and v not in g.dummies)
+    base_cover = set(outside_leaves)
+    for v in outside_leaves:
+        base_cover |= predecessors(g, v)
+    for comp in u.components_within(scc):
+        if comp == scc:
+            continue  # s_inside must be a proper subset
+        nbrs = u.neighbors_of_set(comp)
+        if nbrs & scc:
+            continue  # a message edge crosses to the rest of the SCC
+        # condition (c) with s_outside = outside leaves + w: what the
+        # leaves' cover misses must be w or precede w
+        missed = nbrs - base_cover
+        if outside_leaves and not missed:
+            for v_inside in sorted(comp):
+                for target in sorted(outside_leaves):
+                    yield DegeneracyWitness(s_inside=comp, s_outside=outside_leaves,
+                                            v_inside=v_inside, target=target)
+        for w in non_leaves_outside:
+            rest = missed - {w}
+            if not rest or rest <= predecessors(g, w):
+                s_outside = outside_leaves | {w}
+                for v_inside in sorted(comp):
+                    yield DegeneracyWitness(s_inside=comp, s_outside=s_outside,
+                                            v_inside=v_inside, target=w)
 
 
 def all_sender_vectors(inst: Instance) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

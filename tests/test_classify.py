@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from uniprior import (DegeneracyWitness, Kind, WorkGraph,
+from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph,
                       check_degeneracy_witness, classify_leaf_scc,
                       derive_message_graph, find_degeneracy_witness,
-                      leaf_scc_sets, prune_leaf_scc)
+                      leaf_scc_sets, prune_leaf_scc, run_algorithm2)
+from uniprior.classify import witness_options
 
 from generators import make_instance, rand_cyclic
-from oracles import brute_witness_exists
+from oracles import brute_witness_exists, reference_witness_options
+from test_golden import FAMILIES
 
 D1 = make_instance(3, [[1, 2], [2, 1], [3, 1]], [[1, 3], [2, 3]])
 SPLIT = make_instance(4, [[1, 3], [4, 2], [1, 2], [2, 1], [3, 4], [4, 3]],
@@ -169,3 +171,46 @@ def test_step_keeps_other_kinds_stable():
             else:
                 assert new_kind is old_kind
     assert examined >= 150
+
+
+def _algorithm2_states(inst):
+    """Every graph state of run_algorithm2 on inst, replayed from its step
+    trace; each state is queried before the next is derived from it, as
+    in the algorithm, so the states inherit their SCC partitions."""
+    lr = run_algorithm2(inst)
+    g = WorkGraph.from_instance(inst)
+    states = [g]
+    for st in lr.steps:
+        leaf_scc_sets(g)
+        if st.kind is StepKind.APPEND_DISCONNECTED:
+            g, _ = g.with_new_dummy(st.added_arc[0])
+        elif st.kind is StepKind.APPEND_DEGENERATED:
+            g = g.with_arc(*st.added_arc)
+        else:
+            g = g.without_out_arcs(st.selected_vertex)
+        states.append(g)
+    assert g == lr.final_graph
+    return states
+
+
+def test_witness_options_match_reference_on_algorithm2_states():
+    # every leaf SCC of every state, and of each state with one leaf SCC
+    # pruned (the graphs the rule-of-thumb lookahead searches)
+    instances = []
+    for family, (make, count) in sorted(FAMILIES.items()):
+        rng = random.Random(f"golden:{family}")
+        instances += [make(rng) for _ in range(count)]
+    rng = random.Random(79)
+    instances += [rand_cyclic(rng, n_max=16, size_max=4) for _ in range(200)]
+    searched = found = 0
+    for inst in instances:
+        u = derive_message_graph(inst)
+        for g in _algorithm2_states(inst):
+            sccs = leaf_scc_sets(g)
+            for h in [g] + [g.without_out_arcs(min(scc)) for scc in sccs]:
+                for scc in leaf_scc_sets(h):
+                    options = list(witness_options(h, u, scc))
+                    assert options == list(reference_witness_options(h, u, scc))
+                    searched += 1
+                    found += bool(options)
+    assert searched >= 5000 and found >= 1000, (searched, found)

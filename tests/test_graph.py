@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from uniprior import (WorkGraph, is_grounded, leaf_scc_sets, leaf_vertices,
-                      predecessor_weight_bound, predecessors, scc_partition,
-                      v_out)
+                      predecessor_weight_bound, predecessors, reach,
+                      scc_partition, v_out)
 
 from generators import make_instance, rand_graph
 from oracles import (brute_is_grounded, brute_leaf_scc_sets,
-                     brute_predecessors, brute_sccs)
+                     brute_predecessors, brute_reach, brute_sccs)
 
 EX2_GRAPH = WorkGraph.from_instance(make_instance(
     5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
@@ -129,6 +130,17 @@ def test_predecessors_match_brute_force():
             assert predecessors(g, v) == frozenset(brute_predecessors(g, v))
 
 
+def test_reach_matches_brute_force():
+    rng = random.Random(20)
+    for _ in range(200):
+        g = rand_graph(rng, rng.randint(1, 7))
+        expected = brute_reach(g)
+        for v in g.vertices:
+            assert reach(g, v) == frozenset(expected[v])
+    with pytest.raises(ValueError):
+        reach(g, 99)
+
+
 def test_predecessors_self_only_on_cycle():
     g = WorkGraph(vertices=(1, 2, 3), arcs=frozenset({(1, 2), (2, 1), (3, 1)}),
                   weight={1: 1, 2: 1, 3: 1})
@@ -213,3 +225,104 @@ def test_leaf_scc_sets_returns_a_new_list():
     g = EX2_GRAPH.without_out_arcs(4)
     leaf_scc_sets(g).append(frozenset({4}))
     assert leaf_scc_sets(g) == [frozenset({1, 2, 3})]
+
+
+def _step_cases(g):
+    """Every derivation step of g by the case it exercises, found by brute
+    force so that g's own caches stay untouched."""
+    sccs = brute_sccs(g)
+    comp = {v: c for c in sccs for v in c}
+    leaf_scc_vertices = {v for c in brute_leaf_scc_sets(g) for v in c}
+    fwd = brute_reach(g)
+    sources = [v for v in g.vertices if v not in g.dummies]
+    cases = {"arc-duplicate": [], "arc-inside": [], "arc-merging": [],
+             "arc-non-merging": []}
+    for i in sources:
+        for j in g.vertices:
+            if i == j:
+                continue
+            if (i, j) in g.arcs:
+                cases["arc-duplicate"].append(("arc", i, j))
+            elif j in comp[i]:
+                cases["arc-inside"].append(("arc", i, j))
+            elif i in fwd[j]:
+                cases["arc-merging"].append(("arc", i, j))
+            else:
+                cases["arc-non-merging"].append(("arc", i, j))
+    cases["prune-leaf-scc"] = [("prune", v) for v in sorted(leaf_scc_vertices)]
+    cases["prune-non-leaf"] = [("prune", v) for v in g.vertices
+                               if g.out_neighbors(v) and v not in leaf_scc_vertices]
+    cases["prune-arcless"] = [("prune", v) for v in g.vertices if not g.out_neighbors(v)]
+    cases["dummy"] = [("dummy", v) for v in sources]
+    return {case: steps for case, steps in cases.items() if steps}
+
+
+def _apply(g, step):
+    if step[0] == "arc":
+        return g.with_arc(step[1], step[2])
+    if step[0] == "prune":
+        return g.without_out_arcs(step[1])
+    return g.with_new_dummy(step[1])[0]
+
+
+def _assert_like_fresh(g):
+    fresh = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
+    assert g == fresh
+    assert scc_partition(g) == scc_partition(fresh)
+    assert leaf_scc_sets(g) == leaf_scc_sets(fresh)
+    assert leaf_vertices(g) == leaf_vertices(fresh)
+    for v in g.vertices:
+        assert g.out_neighbors(v) == fresh.out_neighbors(v)
+        assert g.in_neighbors(v) == fresh.in_neighbors(v)
+        assert predecessors(g, v) == predecessors(fresh, v)
+        assert reach(g, v) == reach(fresh, v)
+
+
+def test_derivation_chains_answer_like_fresh_graphs():
+    # 240 chains of 10 random steps; each step's parent has its partition
+    # computed (the child inherits it) or is a fresh copy (the child runs
+    # Tarjan), and the child is queried before or after its parent
+    rng = random.Random(41)
+    seen: Counter = Counter()
+    inherited: Counter = Counter()
+    for _ in range(240):
+        g = rand_graph(rng, rng.randint(2, 9))
+        for _ in range(10):
+            if rng.random() < 0.3:
+                g = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
+            cases = _step_cases(g)
+            case = rng.choice(sorted(cases))
+            child = _apply(g, rng.choice(cases[case]))
+            seen[case] += 1
+            inherited[case] += child._base is not None
+            for h in ((child, g) if rng.random() < 0.5 else (g, child)):
+                _assert_like_fresh(h)
+            g = child
+    assert set(seen) == {"arc-duplicate", "arc-inside", "arc-merging", "arc-non-merging",
+                         "prune-leaf-scc", "prune-non-leaf", "prune-arcless", "dummy"}
+    assert min(inherited.values()) >= 25, inherited
+
+
+def test_incremental_steps_raise_the_constructors_errors():
+    g, d = unit_graph(3, [(1, 2), (2, 3)]).with_new_dummy(3)
+    new = d + 1
+
+    def constructor_error(vertices, arc, weight, dummies):
+        with pytest.raises(ValueError) as e:
+            WorkGraph(vertices, g.arcs | {arc}, weight, dummies)
+        return str(e.value)
+
+    for (i, j) in [(1, 1), (1, 9), (9, 1), (d, 1)]:
+        with pytest.raises(ValueError) as e:
+            g.with_arc(i, j)
+        assert str(e.value) == constructor_error(g.vertices, (i, j), g.weight, g.dummies)
+    for source in [new, 9, d]:
+        with pytest.raises(ValueError) as e:
+            g.with_new_dummy(source)
+        assert str(e.value) == constructor_error(g.vertices + (new,), (source, new),
+                                                 {**g.weight, new: 0}, g.dummies | {new})
+    # the messages name the three faults
+    assert [constructor_error(g.vertices, arc, g.weight, g.dummies)
+            for arc in [(1, 1), (1, 9), (d, 1)]] == [
+        "self-arc (1, 1)", "arc (1, 9) endpoint not a vertex",
+        f"dummy vertex {d} cannot source an arc"]

@@ -49,6 +49,28 @@ def test_gap_bound_run():
     assert rep.steps[2].added_arc == (5, 3)
 
 
+def test_bound_builds_each_graph_once(monkeypatch):
+    # Algorithm 2, the exhaustive search, the tree search and the encoder
+    # share one work graph and one message graph per instance
+    import uniprior.multi as multi
+
+    calls = {"work graphs": 0, "message graphs": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(WorkGraph, "__init__", counting("work graphs", WorkGraph.__init__))
+    monkeypatch.setattr(multi, "derive_message_graph",
+                        counting("message graphs", multi.derive_message_graph))
+    inst = make_instance(6, [list(a) for a in GAP.arcs], [list(s) for s in GAP.senders])
+    rep = bound_multi(inst, exhaustive=True)
+    assert calls == {"work graphs": 1, "message graphs": 1}
+    assert rep == bound_multi(GAP, exhaustive=True)
+
+
 def test_gap_full_report():
     rep = bound_multi(GAP, exhaustive=True)
     assert rep.lower == 4
