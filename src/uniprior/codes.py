@@ -309,6 +309,56 @@ def _candidate_vectors(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[i
     return cands
 
 
+def _extend(lead: dict[int, int], vecs) -> int:
+    """Insert vecs into the GF(2) basis ``lead`` (leading bit -> row) by
+    elimination on leading bits; return its new rank."""
+    for v in vecs:
+        while v:
+            top = v.bit_length() - 1
+            row = lead.get(top)
+            if row is None:
+                lead[top] = v
+                break
+            v ^= row
+    return len(lead)
+
+
+def _deficit(rows: dict[int, int], own: range, wanted: list[int]) -> int:
+    """Rank of ``_residues(rows, own, wanted)`` without building a basis:
+    the residues are the t_c reduced by K, so their rank is
+    rank(K u T) - rank(K) for T the t_c, and one elimination gives both."""
+    keep = ~(((1 << len(own)) - 1) << own.start)
+    lead: dict[int, int] = {}
+    k = _extend(lead, [rows[p] & keep for p in own if p in rows])
+    return _extend(lead, [(rows.get(c, 0) ^ (1 << c)) & keep for c in wanted]) - k
+
+
+def _closed_demands(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[range, list[int]]]:
+    """(own coordinates, coordinates to decode) for every receiver that
+    wants something, where r must decode every message reachable from it
+    along requests (r wants i, receiver i wants j, ...).
+
+    A receiver that decodes message i knows all that receiver i knows, so
+    a code decoding every request decodes these closed demands as well,
+    and conversely.  Each closed deficit is at least the plain one."""
+    wants: dict[int, list[int]] = {}
+    for (i, j) in inst.arcs:
+        wants.setdefault(j, []).append(i)
+    out = []
+    for r in sorted(wants):
+        reach: set[int] = set()
+        stack = [r]
+        while stack:
+            for i in wants.get(stack.pop(), ()):
+                if i not in reach:
+                    reach.add(i)
+                    stack.append(i)
+        reach.discard(r)
+        out.append((range(offsets[r - 1], offsets[r - 1] + inst.q[r - 1]),
+                    [offsets[m - 1] + b for m in sorted(reach) for b in range(inst.q[m - 1])]))
+    return out
+
+
 def oracle_min_linear(inst: Instance, max_len: int | None = None,
                       max_bits: int = 12) -> OracleResult:
     """Minimum number of scalar-linear symbols decoding every request.
@@ -317,55 +367,69 @@ def oracle_min_linear(inst: Instance, max_len: int | None = None,
     so the returned witness is deterministic.  For multi-sender inputs
     the value is the linear optimum; whether nonlinear codes can beat it
     is not settled, so callers should label it accordingly.
+
+    A node is (span, slots, start): the code so far as its RREF snapshot,
+    the symbols still to place, and the first candidate it may use.  It
+    fails at once when some receiver's rank deficit on its closed demand
+    (``_closed_demands``) exceeds slots: one more symbol lowers a deficit
+    by at most one.  Two memos prune only branches already proven to
+    fail, so the visiting order and the first witness are those of the
+    plain search:
+
+    - ``deficits``: span -> the largest deficit, once per span; the code
+      decodes every request iff it is 0.
+    - ``failed``: (span, slots) -> the smallest start a search from it
+      failed at.  The branches open from start s' >= s are a subset of
+      those open from s, with the same subtrees, so failing at s means
+      failing at every s' >= s.
     """
     offsets, total = bit_layout(inst)
     if total > max_bits:
         raise CapExceededError(f"total bits {total} exceeds cap {max_bits}")
 
-    receivers = [(own, coords) for _, own, _, coords in _receivers(inst, offsets)]
-    if not receivers:
+    demands = _closed_demands(inst, offsets)
+    if not demands:
         return OracleResult(length=0, code=LinearIndexCode(symbols=()), exact=True)
 
     cands = _candidate_vectors(inst, offsets)
-
-    def demand(rows: dict[int, int]) -> int:
-        """Largest per-receiver rank deficit; each missing dimension costs
-        at least one more symbol."""
-        return max(Gf2Basis(_residues(rows, own, wanted)).rank for own, wanted in receivers)
-
-    def satisfied(rows: dict[int, int]) -> bool:
-        return not any(any(_residues(rows, own, wanted)) for own, wanted in receivers)
-
     upper_code = _trivial_upper_code(inst)
     hard_cap = len(upper_code) if max_len is None else min(max_len, len(upper_code))
 
-    lb = demand({})
-    witness: list[tuple[int, int]] = []
-    failed: set[tuple[tuple[int, ...], int, int]] = set()
+    deficits: dict[tuple[int, ...], int] = {}
+    failed: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def demand(basis: Gf2Basis) -> tuple[tuple[int, ...], int]:
+        span = basis.snapshot()
+        d = deficits.get(span)
+        if d is None:
+            d = deficits[span] = max(_deficit(basis.rows, own, wanted)
+                                     for own, wanted in demands)
+        return span, d
 
     def dfs(start: int, chosen: list[tuple[int, int]], basis: Gf2Basis, slots: int) -> bool:
-        if slots == 0:
-            return satisfied(basis.rows)
-        key = (basis.snapshot(), slots, start)
-        if key in failed:
+        span, d = demand(basis)
+        if not slots:
+            return d == 0
+        if d > slots:
             return False
-        if demand(basis.rows) > slots:
-            failed.add(key)
+        key = (span, slots)
+        if failed.get(key, start + 1) <= start:
             return False
         for k in range(start, len(cands)):
             si, vec = cands[k]
-            if basis.contains(vec):
-                continue  # dependent symbols never widen any receiver's span
             b2 = basis.copy()
-            b2.add(vec)
+            if not b2.add(vec):
+                continue  # dependent symbols never widen any receiver's span
             chosen.append((si, vec))
             if dfs(k + 1, chosen, b2, slots - 1):
                 return True
             chosen.pop()
-        failed.add(key)
+        failed[key] = start
         return False
 
+    lb = demand(Gf2Basis())[1]
     for length in range(lb, hard_cap + 1):
+        failed.clear()  # slots + the span's rank = length, so no key recurs
         chosen: list[tuple[int, int]] = []
         if dfs(0, chosen, Gf2Basis(), length):
             witness = list(chosen)

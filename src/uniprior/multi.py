@@ -444,11 +444,20 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
 
 # --------------------------------------------------------- encoding
 
-def _smallest_owner(inst: Instance, *messages: int) -> int:
+def _owners(inst: Instance) -> dict[int, set[int]]:
+    """Message -> the (1-based) senders that own it."""
+    owners: dict[int, set[int]] = {}
     for k, s in enumerate(inst.senders, start=1):
-        if all(m in s for m in messages):
-            return k
-    raise ValueError(f"no sender owns messages {messages} together")
+        for m in s:
+            owners.setdefault(m, set()).add(k)
+    return owners
+
+
+def _smallest_owner(owners: dict[int, set[int]], *messages: int) -> int:
+    common = set.intersection(*(owners.get(m, set()) for m in messages))
+    if not common:
+        raise ValueError(f"no sender owns messages {messages} together")
+    return min(common)
 
 
 def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearIndexCode:
@@ -460,6 +469,7 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
     g, u = _graphs(inst)
     mc = _message_connected_leaf_sccs(g, u)
     blocked = frozenset().union(*mc) if mc else frozenset()
+    owners = _owners(inst)
 
     seen: set[int] = set()
     for t in trees:
@@ -472,18 +482,18 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
     symbols: list[CodeSymbol] = []
     for t in sorted(trees, key=lambda t: min(t.vertices)):
         for (i, j) in sorted(t.edges):
-            symbols.append(CodeSymbol(sender=_smallest_owner(inst, i, j),
+            symbols.append(CodeSymbol(sender=_smallest_owner(owners, i, j),
                                       terms=((i, 1), (j, 1))))
     for scc in mc:
         for (i, j) in sorted(_spanning_tree_edges(u, scc)):
-            symbols.append(CodeSymbol(sender=_smallest_owner(inst, i, j),
+            symbols.append(CodeSymbol(sender=_smallest_owner(owners, i, j),
                                       terms=((i, 1), (j, 1))))
     leaves = leaf_vertices(g)
     covered = seen | blocked
     for v in g.vertices:
         if v in leaves or v in covered:
             continue
-        symbols.append(CodeSymbol(sender=_smallest_owner(inst, v), terms=((v, 1),)))
+        symbols.append(CodeSymbol(sender=_smallest_owner(owners, v), terms=((v, 1),)))
     return LinearIndexCode(symbols=tuple(symbols))
 
 

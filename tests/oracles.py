@@ -13,7 +13,9 @@ from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
                       MessageGraph, VerifyReport, WorkGraph, bit_layout,
                       check_code, leaf_vertices, predecessors,
                       verify_exhaustive)
-from uniprior.codes import _coord, symbol_vectors
+from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
+                            _coord, _receivers, _residues, _trivial_upper_code,
+                            symbol_vectors)
 
 
 def brute_reach(g: WorkGraph) -> dict[int, set[int]]:
@@ -231,3 +233,80 @@ def reference_verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyRepo
             if not basis.contains(1 << _coord(offsets, j, b)):
                 failures.append((r, (j, b)))
     return VerifyReport(valid=not failures, failures=tuple(failures))
+
+
+def reference_oracle_min_linear(inst: Instance, max_len: int | None = None,
+                                max_bits: int = 12) -> OracleResult:
+    """Minimum number of scalar-linear symbols decoding every request.
+
+    The plain search: per-receiver bases rebuilt at every node
+    (``demand``, ``satisfied``), each receiver's own requests only, and
+    a failure memo keyed by (snapshot, slots, start).  The reference
+    that ``oracle_min_linear`` must match result for result.
+    """
+    offsets, total = bit_layout(inst)
+    if total > max_bits:
+        raise CapExceededError(f"total bits {total} exceeds cap {max_bits}")
+
+    receivers = [(own, coords) for _, own, _, coords in _receivers(inst, offsets)]
+    if not receivers:
+        return OracleResult(length=0, code=LinearIndexCode(symbols=()), exact=True)
+
+    cands = _candidate_vectors(inst, offsets)
+
+    def demand(rows: dict[int, int]) -> int:
+        """Largest per-receiver rank deficit; each missing dimension costs
+        at least one more symbol."""
+        return max(Gf2Basis(_residues(rows, own, wanted)).rank for own, wanted in receivers)
+
+    def satisfied(rows: dict[int, int]) -> bool:
+        return not any(any(_residues(rows, own, wanted)) for own, wanted in receivers)
+
+    upper_code = _trivial_upper_code(inst)
+    hard_cap = len(upper_code) if max_len is None else min(max_len, len(upper_code))
+
+    lb = demand({})
+    witness: list[tuple[int, int]] = []
+    failed: set[tuple[tuple[int, ...], int, int]] = set()
+
+    def dfs(start: int, chosen: list[tuple[int, int]], basis: Gf2Basis, slots: int) -> bool:
+        if slots == 0:
+            return satisfied(basis.rows)
+        key = (basis.snapshot(), slots, start)
+        if key in failed:
+            return False
+        if demand(basis.rows) > slots:
+            failed.add(key)
+            return False
+        for k in range(start, len(cands)):
+            si, vec = cands[k]
+            if basis.contains(vec):
+                continue  # dependent symbols never widen any receiver's span
+            b2 = basis.copy()
+            b2.add(vec)
+            chosen.append((si, vec))
+            if dfs(k + 1, chosen, b2, slots - 1):
+                return True
+            chosen.pop()
+        failed.add(key)
+        return False
+
+    for length in range(lb, hard_cap + 1):
+        chosen: list[tuple[int, int]] = []
+        if dfs(0, chosen, Gf2Basis(), length):
+            witness = list(chosen)
+            symbols = []
+            for (si, vec) in witness:
+                terms = []
+                for msg in range(1, inst.n + 1):
+                    for b in range(1, inst.q[msg - 1] + 1):
+                        if (vec >> _coord(offsets, msg, b)) & 1:
+                            terms.append((msg, b))
+                symbols.append(CodeSymbol(sender=si, terms=tuple(terms)))
+            return OracleResult(length=length, code=LinearIndexCode(symbols=tuple(symbols)),
+                                exact=True)
+
+    # length cap cut the search short; fall back to the uncoded scheme
+    return OracleResult(length=len(upper_code), code=upper_code, exact=False,
+                        note=f"no code of length <= {hard_cap} found within caps; "
+                             f"reporting the uncoded upper bound")

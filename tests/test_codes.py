@@ -14,7 +14,8 @@ from uniprior import (CapExceededError, Gf2Basis, LinearIndexCode,
 
 from generators import (make_instance, rand_arcs, rand_code, rand_multi,
                         rand_senders, rand_single)
-from oracles import brute_min_linear, reference_verify_linear
+from oracles import brute_min_linear, reference_oracle_min_linear, reference_verify_linear
+from uniprior.codes import _closed_demands, _deficit, _residues, symbol_vectors
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -264,3 +265,80 @@ def test_oracle_length_cap_falls_back_to_uncoded():
     assert res.length == 3  # every wanted message sent uncoded
     assert res.note
     assert verify_linear(D1, res.code).valid
+
+
+def test_deficit_matches_residue_rank():
+    rng = random.Random(59)
+    pivots_in_own: set[str] = set()
+    for _ in range(600):
+        q = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        offsets, total = bit_layout(make_instance(len(q), [], [list(range(1, len(q) + 1))], q))
+        r = rng.randrange(len(q))
+        own = range(offsets[r], offsets[r] + q[r])
+        others = [c for c in range(total) if c not in own]
+        wanted = rng.sample(others, rng.randint(1, len(others)))
+        rows = Gf2Basis(rng.randrange(1, 1 << total)
+                        for _ in range(rng.randint(0, total))).rows
+        inside = sum(p in rows for p in own)
+        pivots_in_own.add("q_r" if inside == len(own) > 1 else str(min(inside, 2)))
+        assert _deficit(rows, own, wanted) == Gf2Basis(_residues(rows, own, wanted)).rank
+    assert pivots_in_own >= {"0", "1", "q_r"}
+
+
+def test_closed_demands_decode_iff_requests_do():
+    """The oracle's closed demands are met exactly by the valid codes,
+    and one more symbol lowers a closed deficit by at most one."""
+    # receiver 3 wants 2 and receiver 2 wants 1, so 3 must decode both;
+    # on a cycle a receiver never has to decode its own message
+    chain = make_instance(3, [[1, 2], [2, 3], [3, 2]], [[1, 2, 3]])
+    assert _closed_demands(chain, (0, 1, 2)) == [(range(1, 2), [0, 2]), (range(2, 3), [0, 1])]
+    rng = random.Random(61)
+    for _ in range(150):
+        inst = rand_multi(rng, n_max=5) if rng.random() < 0.5 else rand_single(rng, 4, q_max=2)
+        demands = _closed_demands(inst, bit_layout(inst)[0])
+        code = rand_code(rng, inst, max_len=7)
+        vecs = symbol_vectors(inst, code)
+        rows = Gf2Basis(vecs[:-1]).rows
+        full = Gf2Basis(vecs).rows
+        before = [_deficit(rows, own, wanted) for own, wanted in demands]
+        after = [_deficit(full, own, wanted) for own, wanted in demands]
+        assert verify_linear(inst, code).valid == (not any(after))
+        assert all(b - 1 <= a <= b for b, a in zip(before, after))
+
+
+def _rand_weighted(rng, multi: bool):
+    """2-4 messages of 1-2 bits, at most 6 bits in all, under one sender
+    or a random sender cover."""
+    while True:
+        n = rng.randint(2, 4)
+        q = [rng.randint(1, 2) for _ in range(n)]
+        if sum(q) <= 6:
+            break
+    senders = rand_senders(rng, n) if multi else [list(range(1, n + 1))]
+    return make_instance(n, rand_arcs(rng, n, rng.uniform(0.15, 0.55)), senders, q)
+
+
+def _oracle_families(rng):
+    for _ in range(60):
+        yield rand_multi(rng, n_max=6)
+    for _ in range(60):
+        yield rand_single(rng, n_max=5)
+    for k in range(80):
+        yield _rand_weighted(rng, multi=k % 2 == 1)
+    yield make_instance(3, [], [[1, 2], [3]])
+
+
+def test_oracle_matches_reference_search():
+    """Same length, code, exactness and note as the unmemoized search,
+    with and without a length cap that forces the uncoded fallback."""
+    rng = random.Random(67)
+    fallbacks = 0
+    for inst in _oracle_families(rng):
+        res = oracle_min_linear(inst)
+        assert res == reference_oracle_min_linear(inst)
+        for cap in {0, max(res.length - 1, 0)}:
+            capped = oracle_min_linear(inst, max_len=cap)
+            assert capped == reference_oracle_min_linear(inst, max_len=cap)
+            fallbacks += not capped.exact
+    assert fallbacks > 150
+
