@@ -22,11 +22,9 @@ from .instance import (Instance, MessageGraph, ParseError, ValidationReport,
                        serialize_instance, validate)
 from .multi import (BinaryRequiredError, BoundReport, ConnectingTree,
                     ExhaustiveResult, LowerBoundReport, StepKind, StepRecord,
-                    TightReason, TreeSearchResult, append_degenerated,
-                    append_disconnected, bound_multi, encode_multi,
+                    TightReason, TreeSearchResult, bound_multi, encode_multi,
                     exhaustive_lower_bound, find_connecting_trees,
-                    prune_leaf_scc, run_algorithm2,
-                    senders_pairwise_disjoint, step_limit)
+                    run_algorithm2, senders_pairwise_disjoint, step_limit)
 from .single import (NotSingleSenderError, PruneStep, PruneTrace,
                      SingleSolution, encode_single, lower_bound_single,
                      prune_all, solve_single)
@@ -49,8 +47,7 @@ __all__ = [
     "find_degeneracy_witness", "check_degeneracy_witness",
     "StepKind", "StepRecord", "LowerBoundReport", "ExhaustiveResult",
     "ConnectingTree", "TreeSearchResult", "BoundReport", "TightReason",
-    "BinaryRequiredError", "append_disconnected", "append_degenerated",
-    "prune_leaf_scc", "run_algorithm2", "exhaustive_lower_bound",
+    "BinaryRequiredError", "run_algorithm2", "exhaustive_lower_bound",
     "find_connecting_trees", "encode_multi", "bound_multi", "step_limit",
     "senders_pairwise_disjoint",
 ]

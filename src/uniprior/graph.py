@@ -298,10 +298,10 @@ def leaf_vertices(g: WorkGraph) -> frozenset[int]:
     return g._leaves
 
 
-def _closure(adj: dict[int, tuple[int, ...]], v: int) -> frozenset[int]:
-    """Vertices reached from v by >= 1 step along adj."""
+def _closure(adj: dict[int, tuple[int, ...]], sources) -> frozenset[int]:
+    """Vertices reached from some source by >= 1 step along adj."""
     seen: set[int] = set()
-    frontier = list(adj[v])
+    frontier = [w for v in sources for w in adj[v]]
     while frontier:
         u = frontier.pop()
         if u in seen:
@@ -320,7 +320,7 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
     if preds is None:
         if v not in g._in:
             raise ValueError(f"vertex {v} not in graph")
-        preds = g._preds[v] = _closure(g._in, v)
+        preds = g._preds[v] = _closure(g._in, (v,))
     return preds
 
 
@@ -331,7 +331,7 @@ def reach(g: WorkGraph, v: int) -> frozenset[int]:
     if found is None:
         if v not in g._out:
             raise ValueError(f"vertex {v} not in graph")
-        found = g._reach[v] = _closure(g._out, v)
+        found = g._reach[v] = _closure(g._out, (v,))
     return found
 
 
@@ -343,16 +343,8 @@ def is_grounded(g: WorkGraph) -> bool:
     equivalence with "no leaf SCC" is a tested property, not an
     implementation shortcut.
     """
-    leaves = [v for v in g.vertices if g.out_degree(v) == 0]
-    reached = set(leaves)
-    frontier = list(leaves)
-    while frontier:
-        u = frontier.pop()
-        for w in g.in_neighbors(u):
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    return len(reached) == len(g.vertices)
+    leaves = leaf_vertices(g)
+    return len(leaves) + len(_closure(g._in, leaves)) == len(g.vertices)
 
 
 def predecessor_weight_bound(g: WorkGraph) -> int:
@@ -361,20 +353,9 @@ def predecessor_weight_bound(g: WorkGraph) -> int:
     On a grounded graph this is the total weight of all non-leaf
     vertices, the sharpest form of the predecessor lower bound.
     """
-    leaves = [v for v in g.vertices if g.out_degree(v) == 0]
-    preds: set[int] = set()
-    frontier = list(leaves)
-    seen = set(leaves)
-    while frontier:
-        u = frontier.pop()
-        for w in g.in_neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                preds.add(w)
-                frontier.append(w)
     # a leaf reached backward from another leaf is impossible (no out-arcs),
-    # so preds never contains a leaf
-    return sum(g.weight[v] for v in preds)
+    # so the closure never contains a leaf
+    return sum(g.weight[v] for v in _closure(g._in, leaf_vertices(g)))
 
 
 def v_out(g: WorkGraph) -> int:

@@ -2,6 +2,11 @@
 the sequence-optimized exhaustive bound, connecting trees and the
 pairwise encoder, and tightness detection.
 
+Which steps a leaf SCC admits, and in which order, is decided in one
+place, the ``_steps`` generator, from the SCC's class.  Algorithm 2
+takes the first (canonical) step of the SCC it picks; the exhaustive
+bound branches over all of them.
+
 All multi-sender machinery assumes binary messages (every q_i = 1),
 which is where pruning preserves optimality vertex-by-vertex.
 """
@@ -10,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, islice
 
-from .classify import (DegeneracyWitness, Kind, check_degeneracy_witness,
-                       classify_leaf_scc, find_degeneracy_witness,
-                       witness_options)
+from .classify import (DegeneracyWitness, Kind, LeafSccClass, classify_leaf_scc,
+                       find_degeneracy_witness, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, v_out
+from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, reach, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -106,59 +110,64 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
     return graphs
 
 
-def _require_unit_weights(g: WorkGraph) -> None:
-    if any(g.weight[v] != 1 for v in g.vertices if v not in g.dummies):
-        raise BinaryRequiredError("all real vertices must have weight 1 here")
+# ------------------------------------------------------------ steps
+
+def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
+    """The class of a leaf SCC of g.  Each (graph, message graph, leaf
+    SCC) is classified once; Algorithm 2 scans one graph state several
+    times."""
+    key = (u, scc)
+    cls = g._classes.get(key)
+    if cls is None:
+        cls = g._classes[key] = classify_leaf_scc(g, u, scc)
+    return cls
 
 
-# ---------------------------------------------------------------- steps
+def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
+    """Every admissible step on one leaf SCC of g, canonical step first,
+    as (next graph, step kind, dummy / witness / pruned vertex):
+    the dummy append of a message-disconnected SCC, then each witness
+    append of a degenerated one, then the prune of each vertex in
+    ascending order.  Prunes of a message-connected SCC are
+    PruneConnected, all others PruneNonDegenerated."""
+    cls = _class_of(g, u, scc)
+    if cls.kind is Kind.MESSAGE_DISCONNECTED:
+        # one fresh dummy, one arc from the smallest SCC vertex to it
+        g2, dummy = g.with_new_dummy(min(scc))
+        yield g2, StepKind.APPEND_DISCONNECTED, dummy
+    elif cls.kind is Kind.DEGENERATED:
+        # the class holds the canonical witness, the first of the options
+        for w in chain((cls.degeneracy,), islice(witness_options(g, u, scc), 1, None)):
+            yield g.with_arc(w.v_inside, w.target), StepKind.APPEND_DEGENERATED, w
+    prune = (StepKind.PRUNE_CONNECTED if cls.kind is Kind.MESSAGE_CONNECTED
+             else StepKind.PRUNE_NON_DEGENERATED)
+    for v in sorted(scc):
+        yield g.without_out_arcs(v), prune, v
 
-def append_disconnected(g: WorkGraph, u: MessageGraph,
-                        scc: frozenset[int]) -> tuple[WorkGraph, int]:
-    """One fresh dummy vertex, one arc from the smallest SCC vertex to it.
-    The SCC keeps all its vertices non-leaf but stops being a leaf SCC."""
-    cls = classify_leaf_scc(g, u, scc)
-    if cls.kind is not Kind.MESSAGE_DISCONNECTED:
-        raise ValueError(f"{sorted(scc)} is not a message-disconnected leaf SCC")
-    return g.with_new_dummy(min(scc))
 
-
-def append_degenerated(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
-                       w: DegeneracyWitness) -> WorkGraph:
-    """Add the witness arc v_inside -> target.  The SCC either stops being
-    a leaf SCC or assimilates the target's cycle into a larger one."""
-    if scc not in leaf_scc_sets(g):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
-    if not check_degeneracy_witness(g, u, scc, w):
-        raise ValueError("invalid degeneracy witness")
-    return g.with_arc(w.v_inside, w.target)
-
-
-def prune_leaf_scc(g: WorkGraph, scc: frozenset[int], vertex: int | None = None) -> WorkGraph:
-    """Remove all out-arcs of one SCC vertex (smallest id by default)."""
-    _require_unit_weights(g)
-    if scc not in leaf_scc_sets(g):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
-    pick = min(scc) if vertex is None else vertex
-    if pick not in scc:
-        raise ValueError(f"vertex {pick} not in the leaf SCC")
-    return g.without_out_arcs(pick)
+def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
+          steps: list[StepRecord]) -> WorkGraph:
+    """Apply the canonical step on scc and record it."""
+    g2, kind, x = next(_steps(g, u, scc))
+    if kind is StepKind.APPEND_DISCONNECTED:
+        rec = StepRecord(kind=kind, scc=scc, phase=phase, added_arc=(min(scc), x), dummy=x)
+    elif kind is StepKind.APPEND_DEGENERATED:
+        rec = StepRecord(kind=kind, scc=scc, phase=phase,
+                         added_arc=(x.v_inside, x.target), witness=x)
+    else:
+        rec = StepRecord(kind=kind, scc=scc, phase=phase, selected_vertex=x)
+    steps.append(rec)
+    return g2
 
 
 # ------------------------------------------------------- Algorithm 2
 
-def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind):
-    """The first leaf SCC of g, in partition order, of the given kind.
-    Each (graph, message graph, leaf SCC) is classified once; the append
-    phase and the main loop scan one graph state several times."""
+def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
+    """The first leaf SCC of g, in partition order, of the given kind."""
     for scc in leaf_scc_sets(g):
-        key = (u, scc)
-        cls = g._classes.get(key)
-        if cls is None:
-            cls = g._classes[key] = classify_leaf_scc(g, u, scc)
-        if cls.kind is kind:
-            return scc, cls
-    return None, None
+        if _class_of(g, u, scc).kind is kind:
+            return scc
+    return None
 
 
 def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
@@ -168,24 +177,10 @@ def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
     into new leaf SCCs of any kind)."""
     while True:
         changed = False
-        while True:
-            scc, _ = _first_of_kind(g, u, Kind.MESSAGE_DISCONNECTED)
-            if scc is None:
-                break
-            g, dummy = g.with_new_dummy(min(scc))
-            steps.append(StepRecord(kind=StepKind.APPEND_DISCONNECTED, scc=scc,
-                                    phase=phase, added_arc=(min(scc), dummy), dummy=dummy))
-            changed = True
-        while True:
-            scc, cls = _first_of_kind(g, u, Kind.DEGENERATED)
-            if scc is None:
-                break
-            w = cls.degeneracy
-            g = g.with_arc(w.v_inside, w.target)
-            steps.append(StepRecord(kind=StepKind.APPEND_DEGENERATED, scc=scc,
-                                    phase=phase, added_arc=(w.v_inside, w.target),
-                                    witness=w))
-            changed = True
+        for kind in (Kind.MESSAGE_DISCONNECTED, Kind.DEGENERATED):
+            while (scc := _first_of_kind(g, u, kind)) is not None:
+                g = _take(g, u, scc, phase, steps)
+                changed = True
         if not changed:
             return g
 
@@ -198,7 +193,7 @@ def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
     best_scc = None
     best_gain = -1
     for scc in sccs:
-        g2 = g.without_out_arcs(min(scc))
+        g2 = next(_steps(g, u, scc))[0]
         gain = 0
         for other in sccs:
             if other == scc:
@@ -231,13 +226,8 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
     steps: list[StepRecord] = []
 
     connected = 0
-    while True:
-        scc, _ = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)
-        if scc is None:
-            break
-        g = g.without_out_arcs(min(scc))
-        steps.append(StepRecord(kind=StepKind.PRUNE_CONNECTED, scc=scc, phase="init",
-                                selected_vertex=min(scc)))
+    while (scc := _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)) is not None:
+        g = _take(g, u, scc, "init", steps)
         connected += 1
 
     g = _append_phase(g, u, steps, "init")
@@ -248,17 +238,11 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
         if not sccs:
             break
         iterations += 1
-        scc, _ = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)
-        if scc is not None:
-            g = g.without_out_arcs(min(scc))
-            steps.append(StepRecord(kind=StepKind.PRUNE_CONNECTED, scc=scc,
-                                    phase="iteration", selected_vertex=min(scc)))
-        else:
+        scc = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)
+        if scc is None:
             # after the append phase only non-degenerated ones are left
             scc = _rule_of_thumb_pick(g, u, sccs)
-            g = g.without_out_arcs(min(scc))
-            steps.append(StepRecord(kind=StepKind.PRUNE_NON_DEGENERATED, scc=scc,
-                                    phase="iteration", selected_vertex=min(scc)))
+        g = _take(g, u, scc, "iteration", steps)
         g = _append_phase(g, u, steps, "iteration")
         if len(steps) > limit:
             raise RuntimeError(f"step budget {limit} exceeded; this should be impossible")
@@ -293,13 +277,21 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     If the state cap is hit, unexplored branches are finished by
     prune-everything completions, which keeps the reported bound sound
     but possibly loose; the result is flagged inexact.
+
+    The search is depth-first on an explicit stack, so its depth is not
+    bounded by Python's recursion limit.
     """
     _require_binary(inst)
     g0, u = _graphs(inst)
     memo: dict = {}
-    counter = {"states": 0, "truncated": False}
+    states = 0
+    truncated = False
+    # one frame per state being searched: [key, its children, best so far]
+    stack: list[list] = []
 
-    def explore(g: WorkGraph) -> int:
+    def enter(g: WorkGraph) -> int | None:
+        """g's value if it needs no search, else None with g's frame pushed."""
+        nonlocal states, truncated
         key = _state_key(g)
         if key in memo:
             return memo[key]
@@ -308,29 +300,27 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
             val = v_out(g)
             memo[key] = val
             return val
-        if counter["states"] >= max_states:
-            counter["truncated"] = True
+        if states >= max_states:
+            truncated = True
             return v_out(g) - len(sccs)  # finish by pruning everything
-        counter["states"] += 1
-        best = 0
-        for scc in sccs:
-            if not u.connected_within(scc):
-                if len({u.component_of(v) for v in scc}) > 1:
-                    # message-disconnected: the only append is a dummy sink
-                    g2, _ = g.with_new_dummy(min(scc))
-                    best = max(best, explore(g2))
-                else:
-                    for w in witness_options(g, u, scc):
-                        best = max(best, explore(g.with_arc(w.v_inside, w.target)))
-            for vtx in sorted(scc):
-                best = max(best, explore(g.without_out_arcs(vtx)))
-        if not counter["truncated"]:
-            memo[key] = best
-        return best
+        states += 1
+        stack.append([key, chain.from_iterable(_steps(g, u, scc) for scc in sccs), 0])
+        return None
 
-    bound = explore(g0)
-    return ExhaustiveResult(bound=bound, exact=not counter["truncated"],
-                            states_visited=counter["states"])
+    val = enter(g0)
+    while stack:
+        frame = stack[-1]
+        step = next(frame[1], None)
+        if step is None:
+            stack.pop()
+            val = frame[2]
+            if not truncated:
+                memo[frame[0]] = val
+        else:
+            val = enter(step[0])
+        if val is not None and stack:
+            stack[-1][2] = max(stack[-1][2], val)
+    return ExhaustiveResult(bound=val, exact=not truncated, states_visited=states)
 
 
 # ------------------------------------------------- connecting trees
@@ -417,20 +407,9 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
         return TreeSearchResult(trees=trees, exact=True)
 
     # greedy fallback: single-vertex closures, smallest sets first
-    closures = []
-    for v in real:
-        cl = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in g.out_neighbors(x):
-                if w not in cl:
-                    cl.add(w)
-                    stack.append(w)
-        vs = frozenset(cl)
-        if _is_tree_vertex_set(g, u, vs, blocked) and vs not in closures:
-            closures.append(vs)
-    closures.sort(key=lambda s: (len(s), tuple(sorted(s))))
+    closures = sorted((vs for vs in {reach(g, v) | {v} for v in real}
+                       if _is_tree_vertex_set(g, u, vs, blocked)),
+                      key=lambda s: (len(s), tuple(sorted(s))))
     taken: list[frozenset[int]] = []
     used: set[int] = set()
     for vs in closures:

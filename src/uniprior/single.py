@@ -58,10 +58,8 @@ def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
 
 
 def lower_bound_single(g: WorkGraph) -> int:
-    total = sum(g.weight[v] for v in g.vertices)
-    leaf_w = sum(g.weight[v] for v in leaf_vertices(g))
-    scc_min = sum(min(g.weight[v] for v in scc) for scc in leaf_scc_sets(g))
-    return total - leaf_w - scc_min
+    """The optimal codelength; solve_arithmetic shows its terms."""
+    return solve_arithmetic(g)[3]
 
 
 def encode_single(g: WorkGraph) -> LinearIndexCode:

@@ -7,13 +7,13 @@ import random
 import time
 
 from uniprior import (Kind, LinearIndexCode, TightReason, WorkGraph,
-                      append_degenerated, append_disconnected, bound_multi,
-                      classify_leaf_scc, derive_message_graph,
+                      bound_multi, classify_leaf_scc, derive_message_graph,
                       encode_multi, exhaustive_lower_bound,
                       find_connecting_trees, is_grounded, leaf_scc_sets,
-                      oracle_min_linear, prune_leaf_scc, run_algorithm2,
-                      scc_partition, solve_single, step_limit, symbol, v_out,
+                      oracle_min_linear, run_algorithm2, scc_partition,
+                      solve_single, step_limit, symbol, v_out,
                       verify_exhaustive, verify_linear)
+from uniprior.multi import _steps
 from uniprior.single import solve_arithmetic
 
 from generators import (make_instance, rand_code, rand_cyclic, rand_disjoint,
@@ -119,14 +119,12 @@ def test_c07_step_deltas_and_termination():
         u = derive_message_graph(inst)
         for scc in leaf_scc_sets(g):
             c = classify_leaf_scc(g, u, scc)
+            g2 = next(_steps(g, u, scc))[0]
             if c.kind is Kind.MESSAGE_DISCONNECTED:
-                g2, _ = append_disconnected(g, u, scc)
                 delta = (-1, 0)
             elif c.kind is Kind.DEGENERATED:
-                g2 = append_degenerated(g, u, scc, c.degeneracy)
                 delta = None  # -1 or 0 allowed
             else:
-                g2 = prune_leaf_scc(g, scc)
                 delta = (-1, -1)
             dn = len(leaf_scc_sets(g2)) - len(leaf_scc_sets(g))
             dv = v_out(g2) - v_out(g)

@@ -9,8 +9,9 @@ import pytest
 from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph,
                       check_degeneracy_witness, classify_leaf_scc,
                       derive_message_graph, find_degeneracy_witness,
-                      leaf_scc_sets, prune_leaf_scc, run_algorithm2)
+                      leaf_scc_sets, run_algorithm2)
 from uniprior.classify import witness_options
+from uniprior.multi import _steps
 
 from generators import make_instance, rand_cyclic
 from oracles import brute_witness_exists, reference_witness_options
@@ -54,7 +55,7 @@ def test_gap_two_cycle_non_degenerated():
 
 def test_gap_after_prune_gains_witness():
     g, u = graph_and_u(GAP)
-    g2 = prune_leaf_scc(g, frozenset({3, 4}), vertex=3)
+    g2 = next(h for h, _, v in _steps(g, u, frozenset({3, 4})) if v == 3)
     w = find_degeneracy_witness(g2, u, frozenset({1, 2}))
     assert w == DegeneracyWitness(s_inside=frozenset({1}),
                                   s_outside=frozenset({3, 5}),
@@ -144,8 +145,6 @@ def test_witness_search_complete_against_brute_force():
 
 def test_step_keeps_other_kinds_stable():
     # applying one step can flip NonDegenerated to Degenerated, nothing else
-    from uniprior import StepKind, append_degenerated, append_disconnected
-
     rng = random.Random(73)
     examined = 0
     for inst, g, u, scc, c in classified_sccs(rng, 250):
@@ -153,14 +152,7 @@ def test_step_keeps_other_kinds_stable():
                   for s in leaf_scc_sets(g) if s != scc}
         if not others:
             continue
-        if c.kind is Kind.MESSAGE_CONNECTED:
-            g2 = prune_leaf_scc(g, scc)
-        elif c.kind is Kind.MESSAGE_DISCONNECTED:
-            g2, _ = append_disconnected(g, u, scc)
-        elif c.kind is Kind.DEGENERATED:
-            g2 = append_degenerated(g, u, scc, c.degeneracy)
-        else:
-            g2 = prune_leaf_scc(g, scc)
+        g2 = next(_steps(g, u, scc))[0]
         examined += 1
         for s, old_kind in others.items():
             if s not in set(leaf_scc_sets(g2)):

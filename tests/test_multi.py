@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
-from uniprior import (BinaryRequiredError, Kind, StepKind, TightReason,
-                      WorkGraph, append_degenerated, append_disconnected,
-                      bound_multi, classify_leaf_scc, derive_message_graph,
-                      encode_multi, exhaustive_lower_bound,
-                      find_connecting_trees, is_grounded, leaf_scc_sets,
-                      oracle_min_linear, prune_leaf_scc, run_algorithm2,
-                      senders_pairwise_disjoint, solve_single, step_limit,
-                      symbol, v_out, verify_linear)
+from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
+                      TightReason, WorkGraph, bound_multi, classify_leaf_scc,
+                      derive_message_graph, encode_multi,
+                      exhaustive_lower_bound, find_connecting_trees,
+                      is_grounded, leaf_scc_sets, oracle_min_linear,
+                      run_algorithm2, senders_pairwise_disjoint, solve_single,
+                      step_limit, symbol, v_out, verify_linear)
+from uniprior.multi import _steps
 
 from generators import (make_instance, rand_cyclic, rand_disjoint,
                         rand_multi, rand_single, rand_triples)
@@ -30,6 +32,12 @@ ORDER = make_instance(6, [[1, 2], [2, 1], [3, 4], [4, 3], [5, 6], [6, 5]],
 
 def graph_and_u(inst):
     return WorkGraph.from_instance(inst), derive_message_graph(inst)
+
+
+def first_prune(g, u, scc):
+    """The graph after the first prune step on scc: its smallest vertex."""
+    return next(h for h, kind, _ in _steps(g, u, scc)
+                if kind in (StepKind.PRUNE_CONNECTED, StepKind.PRUNE_NON_DEGENERATED))
 
 
 # ------------------------------------------------------------ named runs
@@ -156,7 +164,8 @@ def test_exhaustive_truncation_is_flagged_and_sound():
 
 def test_append_disconnected_dummy_numbering():
     g, u = graph_and_u(SPLIT)
-    g2, dummy = append_disconnected(g, u, frozenset({1, 2, 3, 4}))
+    g2, kind, dummy = next(_steps(g, u, frozenset({1, 2, 3, 4})))
+    assert kind is StepKind.APPEND_DISCONNECTED
     assert dummy == 5
     assert (1, 5) in g2.arcs
     assert g2.weight[5] == 0
@@ -168,17 +177,19 @@ def test_append_degenerated_named_cases():
     # D1: arc 1->3 assimilates the 2-cycle into a bigger leaf SCC
     g, u = graph_and_u(D1)
     w = classify_leaf_scc(g, u, frozenset({1, 2})).degeneracy
-    g2 = append_degenerated(g, u, frozenset({1, 2}), w)
+    g2, kind, taken = next(_steps(g, u, frozenset({1, 2})))
+    assert (kind, taken) == (StepKind.APPEND_DEGENERATED, w)
     assert (1, 3) in g2.arcs
     assert leaf_scc_sets(g2) == [frozenset({1, 2, 3})]
 
     # gap instance with {3,4} pruned: target 5 cannot reach 1, count drops
     g, u = graph_and_u(GAP)
-    g = prune_leaf_scc(g, frozenset({3, 4}))
+    g = first_prune(g, u, frozenset({3, 4}))
     assert g.out_degree(3) == 0
     w = classify_leaf_scc(g, u, frozenset({1, 2})).degeneracy
     assert w.target == 5
-    g2 = append_degenerated(g, u, frozenset({1, 2}), w)
+    g2, _, taken = next(_steps(g, u, frozenset({1, 2})))
+    assert taken == w
     assert (1, 5) in g2.arcs
     assert len(leaf_scc_sets(g2)) == len(leaf_scc_sets(g)) - 1
 
@@ -190,14 +201,15 @@ def test_append_disconnected_leaves_the_other_cycle_alone():
     g, u = graph_and_u(inst)
     before = classify_leaf_scc(g, u, frozenset({3, 4}))
     assert before.kind is Kind.MESSAGE_DISCONNECTED
-    g2, _ = append_disconnected(g, u, frozenset({1, 2}))
+    g2, kind, _ = next(_steps(g, u, frozenset({1, 2})))
+    assert kind is StepKind.APPEND_DISCONNECTED
     assert classify_leaf_scc(g2, u, frozenset({3, 4})) == before
     assert v_out(g2) == v_out(g)
 
 
 def test_prune_two_cycle_makes_smallest_vertex_a_leaf():
-    g = WorkGraph.from_instance(make_instance(2, [[1, 2], [2, 1]], [[1], [2]]))
-    g2 = prune_leaf_scc(g, frozenset({1, 2}))
+    g, u = graph_and_u(make_instance(2, [[1, 2], [2, 1]], [[1], [2]]))
+    g2 = first_prune(g, u, frozenset({1, 2}))
     assert g2.arcs == frozenset({(2, 1)})
     assert g2.out_degree(1) == 0
 
@@ -213,37 +225,31 @@ def test_exhaustive_on_single_sender_matches_pruning_bound():
         assert ex.bound == solve_single(inst).optimal_length
 
 
-def test_step_preconditions():
-    g, u = graph_and_u(D1)
-    scc = frozenset({1, 2})
-    with pytest.raises(ValueError):
-        append_disconnected(g, u, scc)  # degenerated, not disconnected
-    w = classify_leaf_scc(g, u, scc).degeneracy
-    bad = type(w)(s_inside=w.s_inside, s_outside=w.s_outside,
-                  v_inside=w.v_inside, target=2)
-    with pytest.raises(ValueError):
-        append_degenerated(g, u, scc, bad)
-    with pytest.raises(ValueError):
-        prune_leaf_scc(g, frozenset({1, 3}))
-    hv = make_instance(2, [[1, 2], [2, 1]], [[1, 2]], q=[2, 1])
-    with pytest.raises(BinaryRequiredError):
-        prune_leaf_scc(WorkGraph.from_instance(hv), frozenset({1, 2}))
+def test_exhaustive_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 100 disjoint 2-cycles with singleton senders: each search path is
+    # one step per cycle deep, far past the limit set here
+    n = 200
+    inst = make_instance(n, [[i, i + 1] for i in range(1, n, 2)]
+                         + [[i + 1, i] for i in range(1, n, 2)],
+                         [[v] for v in range(1, n + 1)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        ex = exhaustive_lower_bound(inst, max_states=100)
+    finally:
+        sys.setrecursionlimit(old)
+    assert ex == ExhaustiveResult(bound=200, exact=False, states_visited=100)
 
 
 def collect_steps(rng, rounds):
-    """Yield (kind, scc_size, before, after) over random applicable steps."""
+    """Yield (kind, before, after) over the canonical step of every leaf
+    SCC of random graphs."""
     for _ in range(rounds):
         inst = rand_cyclic(rng, n_max=8)
         g, u = graph_and_u(inst)
         for scc in leaf_scc_sets(g):
             c = classify_leaf_scc(g, u, scc)
-            if c.kind is Kind.MESSAGE_DISCONNECTED:
-                g2, _ = append_disconnected(g, u, scc)
-            elif c.kind is Kind.DEGENERATED:
-                g2 = append_degenerated(g, u, scc, c.degeneracy)
-            else:
-                g2 = prune_leaf_scc(g, scc)
-            yield c.kind, g, g2
+            yield c.kind, g, next(_steps(g, u, scc))[0]
 
 
 def test_step_postconditions_bulk():
