@@ -7,12 +7,10 @@ failed, 3 cap exceeded or partial result.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from enum import Enum
 
 from . import multi, single
-from .codes import (CapExceededError, LinearIndexCode, MalformedCodeError,
+from .codes import (CapExceededError, LinearIndexCode, MalformedCodeError, json_text,
                     load_code, oracle_min_linear, serialize_code, verify_linear)
 from .graph import WorkGraph
 from .instance import Instance, ParseError, load_instance, validate
@@ -30,29 +28,8 @@ class CliError(Exception):
         self.status = status
 
 
-def _jsonable(obj):
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(x) for x in obj)
-    if isinstance(obj, WorkGraph):
-        return {
-            "vertices": list(obj.vertices),
-            "arcs": [list(a) for a in sorted(obj.arcs)],
-            "weight": {str(v): obj.weight[v] for v in obj.vertices},
-            "dummies": sorted(obj.dummies),
-        }
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f: _jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
-    return obj
-
-
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    print(json_text(doc))
 
 
 def _symbol_text(sym) -> str:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from enum import Enum
 from itertools import product
 
+from .graph import WorkGraph
 from .instance import Instance, ParseError
 
 
@@ -67,19 +69,113 @@ def parse_code(text: str) -> LinearIndexCode:
             raise ParseError(f"symbol {k} sender must be an integer")
         if not isinstance(sym["terms"], list) or not sym["terms"]:
             raise ParseError(f"symbol {k} terms must be a nonempty array")
-        terms = []
-        for t in sym["terms"]:
-            if (not isinstance(t, list) or len(t) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, int) for x in t)):
-                raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
-            terms.append((t[0], t[1]))
-        symbols.append(CodeSymbol(sender=sender, terms=tuple(sorted(set(terms)))))
+        terms = sym["terms"]
+        # type() is int: JSON true/false must not pass as numbers
+        if not all(type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is int
+                   for t in terms):
+            raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
+        symbols.append(CodeSymbol(sender=sender, terms=tuple(sorted({(m, b) for m, b in terms}))))
     return LinearIndexCode(symbols=tuple(symbols))
 
 
 def serialize_code(code: LinearIndexCode) -> str:
-    doc = [{"sender": s.sender, "terms": [list(t) for t in s.terms]} for s in code.symbols]
-    return json.dumps(doc, indent=2) + "\n"
+    # keys already sorted, so this is json.dumps(doc, indent=2) + "\n"
+    return json_text([{"sender": s.sender, "terms": s.terms} for s in code.symbols]) + "\n"
+
+
+# ------------------------------------------------------------ JSON text
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _jsonable(obj):
+    """obj in plain JSON types.  The emitter sorts a set by these values
+    and uses this for the types it has no fast path for."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    if isinstance(obj, (frozenset, set)):
+        return sorted(_jsonable(x) for x in obj)
+    if isinstance(obj, WorkGraph):
+        return {
+            "vertices": list(obj.vertices),
+            "arcs": [list(a) for a in sorted(obj.arcs)],
+            "weight": {str(v): obj.weight[v] for v in obj.vertices},
+            "dummies": sorted(obj.dummies),
+        }
+    if hasattr(obj, "__dataclass_fields__"):
+        return {f: _jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
+    return obj
+
+
+def json_text(obj) -> str:
+    """``json.dumps(_jsonable(obj), indent=2, sort_keys=True)``, byte for
+    byte, in one walk.  Given an indent, json.dumps runs its pure-Python
+    encoder, after a second walk to convert obj; this is the CLI's and
+    ``serialize_code``'s JSON output."""
+    return _emit(obj, "\n")
+
+
+# dataclass type -> its field names in sorted order, each with the JSON
+# text of its key.  A memo of facts about types, filled on a type's first
+# use: emitting a code walks one dataclass per symbol.
+_FIELD_KEYS: dict[type, list[tuple[str, str]]] = {}
+
+
+def _emit(obj, nl: str) -> str:
+    # nl: a newline and the indent of the line obj starts on
+    t = type(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        for x in obj:
+            if type(x) is not int:
+                items = [int.__repr__(x) if type(x) is int else _emit(x, inner) for x in obj]
+                break
+        else:
+            items = map(int.__repr__, obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        d = {str(k): v for k, v in obj.items()}
+        return ("{" + inner + ("," + inner).join([_encode_str(k) + ": " + _emit(d[k], inner)
+                                                  for k in sorted(d)]) + nl + "}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is frozenset or t is set:
+        for x in obj:
+            if type(x) is not int:
+                return _emit(sorted(map(_jsonable, obj)), nl)
+        return _emit(sorted(obj), nl)
+    keys = _FIELD_KEYS.get(t)
+    if keys is None:
+        if isinstance(obj, Enum):
+            return _emit(obj.value, nl)
+        if isinstance(obj, (dict, list, tuple, frozenset, set, WorkGraph)):
+            return _emit(_jsonable(obj), nl)  # subclasses, and graphs
+        if not hasattr(obj, "__dataclass_fields__"):
+            return json.dumps(obj)  # float, int and str subclasses; TypeError otherwise
+        keys = _FIELD_KEYS[t] = [(f, _encode_str(f) + ": ")
+                                 for f in sorted(obj.__dataclass_fields__)]
+    if not keys:
+        return "{}"
+    inner = nl + "  "
+    return ("{" + inner + ("," + inner).join([k + _emit(getattr(obj, f), inner)
+                                              for f, k in keys]) + nl + "}")
 
 
 def load_code(path: str) -> LinearIndexCode:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 class ParseError(ValueError):
@@ -113,6 +114,9 @@ class ValidationReport:
 
 _REQUIRED_FIELDS = ("n", "q", "arcs", "senders")
 
+# validate() names at most this many unowned messages, then counts the rest
+_UNOWNED_LISTED = 20
+
 
 def _require_int(value, what: str) -> int:
     # bool is an int subclass; JSON true/false must not pass as numbers
@@ -145,17 +149,27 @@ def parse_instance(text: str) -> Instance:
     n = _require_int(doc["n"], "n")
     if not isinstance(doc["q"], list):
         raise ParseError("q must be an array")
-    q = tuple(_require_int(x, f"q[{k}]") for k, x in enumerate(doc["q"]))
+    q = doc["q"]
+    # one type test per item for the common all-int list; only when it
+    # fails, the per-item check runs, to raise at the first bad item
+    if not all(type(x) is int for x in q):
+        q = [_require_int(x, f"q[{k}]") for k, x in enumerate(q)]
+    q = tuple(q)
 
     if not isinstance(doc["arcs"], list):
         raise ParseError("arcs must be an array")
+    pairs = doc["arcs"]
+    if not all(type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+               for p in pairs):
+        for k, pair in enumerate(pairs):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"arcs[{k}] must be a 2-element array")
+            _require_int(pair[0], f"arcs[{k}][0]")
+            _require_int(pair[1], f"arcs[{k}][1]")
     notes: list[str] = []
     arcs: list[tuple[int, int]] = []
     seen_arcs: set[tuple[int, int]] = set()
-    for k, pair in enumerate(doc["arcs"]):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"arcs[{k}] must be a 2-element array")
-        arc = (_require_int(pair[0], f"arcs[{k}][0]"), _require_int(pair[1], f"arcs[{k}][1]"))
+    for arc in map(tuple, pairs):
         if arc in seen_arcs:
             notes.append(f"duplicate arc [{arc[0]}, {arc[1]}] removed")
             continue
@@ -169,7 +183,9 @@ def parse_instance(text: str) -> Instance:
     for k, members in enumerate(doc["senders"]):
         if not isinstance(members, list):
             raise ParseError(f"senders[{k}] must be an array")
-        raw = [_require_int(m, f"senders[{k}]") for m in members]
+        raw = members
+        if not all(type(m) is int for m in members):
+            raw = [_require_int(m, f"senders[{k}]") for m in members]
         uniq = sorted(set(raw))
         if len(uniq) != len(raw):
             notes.append(f"repeated member(s) in sender {k + 1} removed")
@@ -226,9 +242,13 @@ def validate(inst: Instance) -> ValidationReport:
                 v.append(f"sender {k + 1} member {m} out of range 1..{inst.n}")
             else:
                 owned.add(m)
-    for m in range(1, inst.n + 1):
-        if m not in owned:
-            v.append(f"message {m} unowned by any sender")
+    # n is only a number in the file: list the first few unowned messages
+    # and count the rest, so the scan stops after len(owned) + the cap
+    unowned = (m for m in range(1, inst.n + 1) if m not in owned)
+    v.extend(f"message {m} unowned by any sender" for m in islice(unowned, _UNOWNED_LISTED))
+    more = inst.n - len(owned) - _UNOWNED_LISTED
+    if more > 0:
+        v.append(f"... and {more} more unowned messages")
     return ValidationReport(ok=not v, violations=tuple(v), notes=inst.notes)
 
 

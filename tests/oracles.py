@@ -7,6 +7,8 @@ sizes, which is exactly what pins the fast implementations down.
 
 from __future__ import annotations
 
+import json
+from enum import Enum
 from itertools import chain, combinations
 
 from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
@@ -310,3 +312,30 @@ def reference_oracle_min_linear(inst: Instance, max_len: int | None = None,
     return OracleResult(length=len(upper_code), code=upper_code, exact=False,
                         note=f"no code of length <= {hard_cap} found within caps; "
                              f"reporting the uncoded upper bound")
+
+
+def _reference_jsonable(obj):
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, dict):
+        return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(x) for x in obj]
+    if isinstance(obj, (frozenset, set)):
+        return sorted(_reference_jsonable(x) for x in obj)
+    if isinstance(obj, WorkGraph):
+        return {
+            "vertices": list(obj.vertices),
+            "arcs": [list(a) for a in sorted(obj.arcs)],
+            "weight": {str(v): obj.weight[v] for v in obj.vertices},
+            "dummies": sorted(obj.dummies),
+        }
+    if hasattr(obj, "__dataclass_fields__"):
+        return {f: _reference_jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
+    return obj
+
+
+def reference_emit_json(doc) -> str:
+    """The CLI's JSON text as first written: convert to plain JSON types,
+    then the standard library's encoder with indent 2 and sorted keys."""
+    return json.dumps(_reference_jsonable(doc), indent=2, sort_keys=True)

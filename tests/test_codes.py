@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniprior import (CapExceededError, Gf2Basis, LinearIndexCode,
-                      MalformedCodeError, bit_layout, check_code, load_code,
+                      MalformedCodeError, ParseError, bit_layout, check_code, load_code,
                       oracle_min_linear, parse_code, serialize_code, solve_single,
                       symbol, verify_exhaustive, verify_linear)
 
@@ -48,6 +49,27 @@ def test_code_round_trip(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(text)
     assert load_code(str(p)) == EX2_CODE
+
+
+PAIRS = "terms must be [message, bit] integer pairs"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([{"sender": 1, "terms": [[1, True]]}], f"symbol 0 {PAIRS}"),
+    ([{"sender": 1, "terms": [[1, 1], [2]]}], f"symbol 0 {PAIRS}"),
+    ([{"sender": 1, "terms": [[1, 1], "x"]}], f"symbol 0 {PAIRS}"),
+    ([{"sender": 1, "terms": [[1.0, 1]]}], f"symbol 0 {PAIRS}"),
+    ([{"sender": True, "terms": [[1, 1]]}], "symbol 0 sender must be an integer"),
+    ([{"sender": 1, "terms": []}], "symbol 0 terms must be a nonempty array"),
+    ([{"sender": 1, "terms": [[1, 1]]}, {"sender": 1}],
+     "symbol 1 must be an object with fields sender, terms"),
+    ([{"sender": 1, "terms": [[1, 1]]}, {"sender": 2, "terms": [[1, 1, 1]]}],
+     f"symbol 1 {PAIRS}"),
+])
+def test_parse_code_error_messages(doc, message):
+    with pytest.raises(ParseError) as e:
+        parse_code(json.dumps(doc))
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("sym", [

@@ -60,6 +60,24 @@ def test_parse_rejects_malformed(mutate):
         parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize("fields,message", [
+    (dict(q=[1, 2, True, 2, 2]), "q[2] must be an integer, got True"),
+    (dict(q=[1, 2, 2, 2, 2.0]), "q[4] must be an integer, got 2.0"),
+    (dict(arcs=[[2, 1], [3]]), "arcs[1] must be a 2-element array"),
+    (dict(arcs=[[2, 1], "x"]), "arcs[1] must be a 2-element array"),
+    (dict(arcs=[[2, 1], [3, False]]), "arcs[1][1] must be an integer, got False"),
+    (dict(arcs=[[1.5, 2]]), "arcs[0][0] must be an integer, got 1.5"),
+    (dict(arcs=[[2, None], [3]]), "arcs[0][1] must be an integer, got None"),
+    (dict(senders=[[1, 2], [3, None]]), "senders[1] must be an integer, got None"),
+    (dict(senders=[[1], 5]), "senders[1] must be an array"),
+    (dict(q=[True], arcs=[[1]]), "q[0] must be an integer, got True"),
+])
+def test_parse_error_names_the_first_bad_item(fields, message):
+    with pytest.raises(ParseError) as e:
+        parse_instance(json.dumps(dict(EX2, **fields)))
+    assert str(e.value) == message
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(ParseError):
         parse_instance("[1, 2]")
@@ -92,6 +110,18 @@ def test_validate_flags_violations(doc, fragment):
     report = validate(parse_instance(json.dumps(doc)))
     assert not report.ok
     assert any(fragment in v for v in report.violations), report.violations
+
+
+@pytest.mark.parametrize("n,tail", [
+    (21, ["message 21 unowned by any sender"]),
+    (22, ["message 21 unowned by any sender", "... and 1 more unowned messages"]),
+    (3_000_000, ["message 21 unowned by any sender", "... and 2999979 more unowned messages"]),
+])
+def test_validate_lists_at_most_twenty_unowned_messages(n, tail):
+    inst = Instance(n=n, q=(1,) * min(n, 30), arcs=(), senders=((1,),))
+    unowned = [v for v in validate(inst).violations if "unowned" in v]
+    assert unowned[:19] == [f"message {m} unowned by any sender" for m in range(2, 21)]
+    assert unowned[19:] == tail
 
 
 def test_serialize_round_trip_exact():
