@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 
 from .classify import (DegeneracyWitness, Kind, LeafSccClass, classify_leaf_scc,
                        find_degeneracy_witness, witness_options)
@@ -341,7 +341,8 @@ def _is_tree_vertex_set(g: WorkGraph, u: MessageGraph, vs: frozenset[int],
 
 
 def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple[int, int]]:
-    """Kruskal over the induced edges in sorted order; deterministic."""
+    """Kruskal over the induced edges (a, b), a < b, in sorted order:
+    a ascending over vs, then b ascending over a's neighbours in vs."""
     parent = {v: v for v in vs}
 
     def find(x):
@@ -351,40 +352,42 @@ def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple
         return x
 
     chosen = []
-    inside = [e for e in sorted(u.edges) if e[0] in vs and e[1] in vs]
-    for (a, b) in inside:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append((a, b))
+    for a in sorted(vs):
+        for b in sorted(w for w in u.neighbors(a) if w > a and w in vs):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                chosen.append((a, b))
     return frozenset(chosen)
 
 
 def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchResult:
     """Maximum number of vertex-disjoint connecting trees.
 
-    Exact for n up to exact_limit: enumerate the inclusion-minimal valid
-    vertex sets (closed under out-arcs, leaf-free, message-connected,
-    clear of message-connected leaf SCCs) and pack them disjointly by
-    memoized search.  Minimal sets suffice because shrinking a chosen
-    set never hurts a packing.  Larger n falls back to a greedy pass
-    over single-vertex closures, flagged inexact.
+    A valid tree vertex set (closed under out-arcs, leaf-free,
+    message-connected, clear of message-connected leaf SCCs) is the
+    union of its members' out-closures reach(v) | {v}, each free of
+    leaves and of those SCCs.  Exact for n up to exact_limit: pack the
+    inclusion-minimal message-connected unions of such closures by
+    memoized search (shrinking a chosen set never hurts a packing).
+    Larger n packs the connected closures greedily, smallest first,
+    flagged inexact.
     """
     _require_binary(inst)
     g, u = _graphs(inst)
-    mc = _message_connected_leaf_sccs(g, u)
-    blocked = frozenset().union(*mc) if mc else frozenset()
+    banned = frozenset().union(*_message_connected_leaf_sccs(g, u), leaf_vertices(g))
     real = g.real_vertices()
+    closures = {c for v in real if not (c := reach(g, v) | {v}) & banned}
+    exact = inst.n <= exact_limit
 
-    if inst.n <= exact_limit:
-        valid = []
-        for r in range(2, len(real) + 1):
-            for combo in combinations(real, r):
-                vs = frozenset(combo)
-                if _is_tree_vertex_set(g, u, vs, blocked):
-                    valid.append(vs)
-        minimal = [vs for vs in valid
-                   if not any(other < vs for other in valid)]
+    if exact:
+        unions = {frozenset()}
+        for c in closures:
+            unions |= {s | c for s in unions}
+        minimal: list[frozenset[int]] = []
+        for vs in sorted(unions, key=len):
+            if vs and not any(m < vs for m in minimal) and u.connected_within(vs):
+                minimal.append(vs)
         minimal.sort(key=lambda s: tuple(sorted(s)))
 
         memo: dict[frozenset[int], tuple[int, tuple[frozenset[int], ...]]] = {}
@@ -401,24 +404,18 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
             memo[avail] = best
             return best
 
-        _, chosen = pack(frozenset(real))
-        trees = tuple(ConnectingTree(vertices=vs, edges=_spanning_tree_edges(u, vs))
-                      for vs in sorted(chosen, key=min))
-        return TreeSearchResult(trees=trees, exact=True)
-
-    # greedy fallback: single-vertex closures, smallest sets first
-    closures = sorted((vs for vs in {reach(g, v) | {v} for v in real}
-                       if _is_tree_vertex_set(g, u, vs, blocked)),
-                      key=lambda s: (len(s), tuple(sorted(s))))
-    taken: list[frozenset[int]] = []
-    used: set[int] = set()
-    for vs in closures:
-        if not vs & used:
-            taken.append(vs)
-            used |= vs
+        chosen = pack(frozenset(real))[1]
+    else:
+        chosen = []
+        used: set[int] = set()
+        for vs in sorted((c for c in closures if u.connected_within(c)),
+                         key=lambda s: (len(s), tuple(sorted(s)))):
+            if not vs & used:
+                chosen.append(vs)
+                used |= vs
     trees = tuple(ConnectingTree(vertices=vs, edges=_spanning_tree_edges(u, vs))
-                  for vs in sorted(taken, key=min))
-    return TreeSearchResult(trees=trees, exact=False)
+                  for vs in sorted(chosen, key=min))
+    return TreeSearchResult(trees=trees, exact=exact)
 
 
 # --------------------------------------------------------- encoding
@@ -487,15 +484,15 @@ def senders_pairwise_disjoint(inst: Instance) -> bool:
     return True
 
 
-def bound_multi(inst: Instance, exhaustive: bool = False, max_states: int = 10 ** 6,
-                tree_limit: int = 12) -> BoundReport:
+def bound_multi(inst: Instance, exhaustive: bool = False,
+                max_states: int = 10 ** 6) -> BoundReport:
     """Lower bound from the combined algorithm (optionally sharpened by
     the exhaustive sequence search), upper bound from the pairwise code
     over a maximum set of connecting trees."""
     lr = run_algorithm2(inst)
     ex = exhaustive_lower_bound(inst, max_states=max_states) if exhaustive else None
     lower = max(lr.bound, ex.bound) if ex is not None else lr.bound
-    ts = find_connecting_trees(inst, exact_limit=tree_limit)
+    ts = find_connecting_trees(inst)
     code = encode_multi(inst, ts.trees)
     upper = len(code)
     tight = lower == upper

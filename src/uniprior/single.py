@@ -51,7 +51,7 @@ def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
             break
         scc = leafs[0]
         pick = min(scc, key=lambda v: (g.weight[v], v))
-        removed = tuple(sorted((i, j) for (i, j) in g.arcs if i == pick))
+        removed = tuple((pick, j) for j in g.out_neighbors(pick))
         g = g.without_out_arcs(pick)
         steps.append(PruneStep(scc=scc, vertex=pick, removed_arcs=removed))
     return g, PruneTrace(steps=tuple(steps))

@@ -124,6 +124,30 @@ def rand_triples(rng: random.Random, t_max: int = 3) -> Instance:
     return make_instance(n, arcs, senders)
 
 
+def big_sender_clusters(rng: random.Random) -> Instance:
+    """Disjoint 2- and 3-cycles with a few extra arcs under small
+    overlapping senders, plus one sender owning about 30% of the
+    messages: the shape whose witness searches dominate Algorithm 2."""
+    n = rng.randint(14, 26)
+    verts = list(range(1, n + 1))
+    rng.shuffle(verts)
+    arcs: list[list[int]] = []
+    i = 0
+    while i < n:
+        k = rng.randint(2, min(3, n - i)) if n - i >= 2 else 1
+        cyc = verts[i:i + k]
+        if len(cyc) >= 2:
+            arcs += [[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        i += k
+    for _ in range(n // 4):
+        a, b = rng.sample(range(1, n + 1), 2)
+        if [a, b] not in arcs:
+            arcs.append([a, b])
+    senders = rand_senders(rng, n, size_max=4, extra=n // 8)
+    senders.append(sorted(rng.sample(range(1, n + 1), round(0.3 * n))))
+    return make_instance(n, arcs, senders)
+
+
 def rand_code(rng: random.Random, inst: Instance, max_len: int = 6) -> LinearIndexCode:
     """Random well-formed code: each symbol XORs a nonempty subset of one
     sender's bits."""

@@ -18,6 +18,9 @@ from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
                             _coord, _receivers, _residues, _trivial_upper_code,
                             symbol_vectors)
+from uniprior.graph import reach
+from uniprior.multi import (ConnectingTree, TreeSearchResult, _graphs, _is_tree_vertex_set,
+                            _message_connected_leaf_sccs, _require_binary)
 
 
 def brute_reach(g: WorkGraph) -> dict[int, set[int]]:
@@ -339,3 +342,80 @@ def reference_emit_json(doc) -> str:
     """The CLI's JSON text as first written: convert to plain JSON types,
     then the standard library's encoder with indent 2 and sorted keys."""
     return json.dumps(_reference_jsonable(doc), indent=2, sort_keys=True)
+
+
+def reference_spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple[int, int]]:
+    """Kruskal over the induced edges, taken from a sort of the whole
+    message-graph edge set."""
+    parent = {v: v for v in vs}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    inside = [e for e in sorted(u.edges) if e[0] in vs and e[1] in vs]
+    for (a, b) in inside:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append((a, b))
+    return frozenset(chosen)
+
+
+def reference_find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchResult:
+    """The connecting-tree search by subset enumeration: for n up to
+    exact_limit every vertex subset of size >= 2 is tested, the minimal
+    valid ones are packed by memoized search; larger n packs single-vertex
+    closures greedily."""
+    _require_binary(inst)
+    g, u = _graphs(inst)
+    mc = _message_connected_leaf_sccs(g, u)
+    blocked = frozenset().union(*mc) if mc else frozenset()
+    real = g.real_vertices()
+
+    if inst.n <= exact_limit:
+        valid = []
+        for r in range(2, len(real) + 1):
+            for combo in combinations(real, r):
+                vs = frozenset(combo)
+                if _is_tree_vertex_set(g, u, vs, blocked):
+                    valid.append(vs)
+        minimal = [vs for vs in valid
+                   if not any(other < vs for other in valid)]
+        minimal.sort(key=lambda s: tuple(sorted(s)))
+
+        memo: dict[frozenset[int], tuple[int, tuple[frozenset[int], ...]]] = {}
+
+        def pack(avail: frozenset[int]) -> tuple[int, tuple[frozenset[int], ...]]:
+            if avail in memo:
+                return memo[avail]
+            best = (0, ())
+            for c in minimal:
+                if c <= avail:
+                    cnt, rest = pack(avail - c)
+                    if cnt + 1 > best[0]:
+                        best = (cnt + 1, (c, *rest))
+            memo[avail] = best
+            return best
+
+        _, chosen = pack(frozenset(real))
+        trees = tuple(ConnectingTree(vertices=vs, edges=reference_spanning_tree_edges(u, vs))
+                      for vs in sorted(chosen, key=min))
+        return TreeSearchResult(trees=trees, exact=True)
+
+    # greedy fallback: single-vertex closures, smallest sets first
+    closures = sorted((vs for vs in {reach(g, v) | {v} for v in real}
+                       if _is_tree_vertex_set(g, u, vs, blocked)),
+                      key=lambda s: (len(s), tuple(sorted(s))))
+    taken: list[frozenset[int]] = []
+    used: set[int] = set()
+    for vs in closures:
+        if not vs & used:
+            taken.append(vs)
+            used |= vs
+    trees = tuple(ConnectingTree(vertices=vs, edges=reference_spanning_tree_edges(u, vs))
+                  for vs in sorted(taken, key=min))
+    return TreeSearchResult(trees=trees, exact=False)

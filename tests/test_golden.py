@@ -16,35 +16,10 @@ import pytest
 
 from uniprior import bound_multi, exhaustive_lower_bound, run_algorithm2
 
-from generators import (make_instance, rand_cyclic, rand_multi, rand_senders,
-                        rand_triples)
+from generators import big_sender_clusters, rand_cyclic, rand_multi, rand_triples
 
 EXHAUSTIVE_MAX_N = 6
 EXHAUSTIVE_MAX_STATES = 60
-
-
-def _big_sender_clusters(rng: random.Random):
-    """Disjoint 2- and 3-cycles with a few extra arcs under small
-    overlapping senders, plus one sender owning about 30% of the
-    messages: the shape whose witness searches dominate Algorithm 2."""
-    n = rng.randint(14, 26)
-    verts = list(range(1, n + 1))
-    rng.shuffle(verts)
-    arcs: list[list[int]] = []
-    i = 0
-    while i < n:
-        k = rng.randint(2, min(3, n - i)) if n - i >= 2 else 1
-        cyc = verts[i:i + k]
-        if len(cyc) >= 2:
-            arcs += [[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-        i += k
-    for _ in range(n // 4):
-        a, b = rng.sample(range(1, n + 1), 2)
-        if [a, b] not in arcs:
-            arcs.append([a, b])
-    senders = rand_senders(rng, n, size_max=4, extra=n // 8)
-    senders.append(sorted(rng.sample(range(1, n + 1), round(0.3 * n))))
-    return make_instance(n, arcs, senders)
 
 
 # family: (generator, count)
@@ -52,7 +27,7 @@ FAMILIES = {
     "rand_cyclic": (lambda rng: rand_cyclic(rng, n_max=10, size_max=3), 320),
     "rand_multi": (lambda rng: rand_multi(rng, n_max=8, size_max=3), 320),
     "rand_triples": (lambda rng: rand_triples(rng, t_max=4), 200),
-    "big_sender": (_big_sender_clusters, 200),
+    "big_sender": (big_sender_clusters, 200),
 }
 
 DIGESTS = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+import time
 
 import pytest
 
@@ -15,10 +16,11 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       is_grounded, leaf_scc_sets, oracle_min_linear,
                       run_algorithm2, senders_pairwise_disjoint, solve_single,
                       step_limit, symbol, v_out, verify_linear)
-from uniprior.multi import _steps
+from uniprior.multi import _spanning_tree_edges, _steps
 
-from generators import (make_instance, rand_cyclic, rand_disjoint,
+from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
                         rand_multi, rand_single, rand_triples)
+from oracles import reference_find_connecting_trees, reference_spanning_tree_edges
 
 GAP = make_instance(6, [[1, 2], [2, 1], [3, 4], [4, 3], [5, 6], [6, 5]],
                    [[1, 3, 5], [2, 3, 5], [2, 4, 5], [2, 4, 6]])
@@ -356,6 +358,80 @@ def test_greedy_tree_search_beyond_limit_is_flagged():
     assert exact.exact
     assert [sorted(t.vertices) for t in exact.trees] \
         == [sorted(t.vertices) for t in res.trees]
+
+
+def _paired_two_cycles(rng):
+    """n=12: six disjoint 2-cycles, a pair sender per cycle, a few arcs
+    across cycles and a few pair senders bridging them."""
+    arcs = [[v, v + 1 if v % 2 else v - 1] for v in range(1, 13)]
+    senders = [[v, v + 1] for v in range(1, 13, 2)]
+    for _ in range(rng.randint(3, 6)):
+        a, b = rng.sample(range(1, 13), 2)
+        if (a + 1) // 2 != (b + 1) // 2 and [a, b] not in arcs:
+            arcs.append([a, b])
+    senders += [sorted(rng.sample(range(1, 13), 2)) for _ in range(rng.randint(1, 4))]
+    return make_instance(12, arcs, senders)
+
+
+def _trees(res):
+    return [(sorted(t.vertices), sorted(t.edges)) for t in res.trees], res.exact
+
+
+def test_tree_search_matches_subset_enumeration():
+    rng = random.Random(127)
+    insts = [rand_cyclic(rng, n_max=12) for _ in range(120)]
+    insts += [rand_multi(rng, n_max=12) for _ in range(120)]
+    insts += [rand_triples(rng, t_max=4) for _ in range(60)]
+    insts += [_paired_two_cycles(rng) for _ in range(60)]
+    insts += [big_sender_clusters(rng) for _ in range(60)]  # n > 12: greedy
+    found = greedy = 0
+    for inst in insts:
+        res = find_connecting_trees(inst)
+        assert _trees(res) == _trees(reference_find_connecting_trees(inst))
+        found += len(res.trees)
+        greedy += not res.exact
+    assert found >= 100 and greedy == 60
+
+
+def test_exact_tree_search_takes_unions_of_closures():
+    # leaf SCC {1, 2, 3, 4} (cycles 1<->2, 3<->4 joined by 2->3, 4->1) is
+    # message-disconnected; 5->1 and 7->3 feed it, and only the union of
+    # the closures of 5 and 7 is message-connected, through 6-8
+    arcs = [[v, v + 1 if v % 2 else v - 1] for v in range(1, 13)]
+    arcs += [[2, 3], [4, 1], [5, 1], [7, 3], [10, 11], [12, 9]]
+    senders = [[v, v + 1] for v in range(1, 13, 2)] + [[1, 5], [3, 7], [6, 8]]
+    inst = make_instance(12, arcs, senders)
+    res = find_connecting_trees(inst)
+    assert res.exact
+    assert [sorted(t.vertices) for t in res.trees] == [list(range(1, 9))]
+    assert _trees(res) == _trees(reference_find_connecting_trees(inst))
+    assert find_connecting_trees(inst, exact_limit=11).trees == ()
+
+
+def test_spanning_tree_edges_match_sorted_kruskal():
+    rng = random.Random(131)
+    for _ in range(300):
+        inst = rand_multi(rng, n_max=12, size_max=5)
+        u = derive_message_graph(inst)
+        vs = frozenset(rng.sample(range(1, inst.n + 1), rng.randint(1, inst.n)))
+        assert _spanning_tree_edges(u, vs) == reference_spanning_tree_edges(u, vs)
+
+
+def test_bound_with_many_connected_leaf_sccs_under_one_big_sender():
+    # 200 two-cycles, each a message-connected leaf SCC through its pair
+    # sender, under one sender owning all 400 messages (79 800 edges);
+    # the code takes one spanning tree per leaf SCC
+    n = 400
+    arcs = [[v, v + 1 if v % 2 else v - 1] for v in range(1, n + 1)]
+    senders = [list(range(1, n + 1))] + [[v, v + 1] for v in range(1, n + 1, 2)]
+    inst = make_instance(n, arcs, senders)
+    t0 = time.perf_counter()
+    rep = bound_multi(inst)
+    elapsed = time.perf_counter() - t0
+    assert rep.lower == rep.upper == n // 2
+    assert [s.terms for s in rep.code.symbols] == [((v, 1), (v + 1, 1))
+                                                   for v in range(1, n + 1, 2)]
+    assert elapsed < 5, f"bound took {elapsed:.1f} s"
 
 
 def test_encoder_output_always_verifies():

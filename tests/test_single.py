@@ -131,6 +131,8 @@ def test_prune_all_grounds_and_drops_one_vertex_per_leaf_scc():
         assert is_grounded(g2)
         # pruning never creates leaf SCCs, so one step per original leaf SCC
         assert len(trace.steps) == n_leaf
+        for step in trace.steps:
+            assert step.removed_arcs == tuple(sorted(a for a in g.arcs if a[0] == step.vertex))
         assert v_out(g2) == v_out(g) - n_leaf
 
 
