@@ -188,7 +188,9 @@ def _child_partition(g: WorkGraph, parent: SccPartition, step: tuple | None) -> 
     Only the SCC C of the step's source vertex a can change:
     - prune of a: a path between two vertices of another SCC never
       passes through a (a would belong to that SCC), so only C can
-      split; Tarjan runs on C's arcs alone.
+      split; Tarjan runs on C's arcs alone.  No part of C is a leaf: a
+      strongly connected S within C, S != C, |S| >= 2, had an arc into
+      C minus S, and that arc's source is not a, which is now a sink.
     - new arc (a, b): inside C nothing changes.  Across SCCs, C stops
       being a leaf unless b reaches a; then every vertex on a path from
       b to a joins one SCC with C.
@@ -206,7 +208,7 @@ def _child_partition(g: WorkGraph, parent: SccPartition, step: tuple | None) -> 
         del pairs[k]
         out = {v: tuple(w for w in g._out[v] if w in comp) for v in comp}
         for c in _strong_components(out, sorted(comp)):
-            insort(pairs, (c, _is_leaf(g, c)), key=_pair_min)
+            insort(pairs, (c, False), key=_pair_min)
     elif kind == "dummy":
         pairs[k] = (comp, False)
         pairs.append((frozenset((step[2],)), False))

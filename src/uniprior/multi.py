@@ -3,9 +3,11 @@ the sequence-optimized exhaustive bound, connecting trees and the
 pairwise encoder, and tightness detection.
 
 Which steps a leaf SCC admits, and in which order, is decided in one
-place, the ``_steps`` generator, from the SCC's class.  Algorithm 2
-takes the first (canonical) step of the SCC it picks; the exhaustive
-bound branches over all of them.
+place, the ``_steps`` generator, from the SCC's class; a step is a
+(kind, argument) pair, and ``_apply`` builds the graph it leads to.
+Algorithm 2 takes the first (canonical) step of the SCC it picks; the
+exhaustive bound branches over all of them, and builds a step's graph
+only when it searches that graph.
 
 All multi-sender machinery assumes binary messages (every q_i = 1),
 which is where pruning preserves optimality vertex-by-vertex.
@@ -125,32 +127,42 @@ def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClas
 
 def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
     """Every admissible step on one leaf SCC of g, canonical step first,
-    as (next graph, step kind, dummy / witness / pruned vertex):
-    the dummy append of a message-disconnected SCC, then each witness
-    append of a degenerated one, then the prune of each vertex in
+    as (step kind, dummy source / witness / pruned vertex), with no graph
+    built: the dummy append of a message-disconnected SCC, then each
+    witness append of a degenerated one, then the prune of each vertex in
     ascending order.  Prunes of a message-connected SCC are
     PruneConnected, all others PruneNonDegenerated."""
     cls = _class_of(g, u, scc)
     if cls.kind is Kind.MESSAGE_DISCONNECTED:
         # one fresh dummy, one arc from the smallest SCC vertex to it
-        g2, dummy = g.with_new_dummy(min(scc))
-        yield g2, StepKind.APPEND_DISCONNECTED, dummy
+        yield StepKind.APPEND_DISCONNECTED, min(scc)
     elif cls.kind is Kind.DEGENERATED:
         # the class holds the canonical witness, the first of the options
         for w in chain((cls.degeneracy,), islice(witness_options(g, u, scc), 1, None)):
-            yield g.with_arc(w.v_inside, w.target), StepKind.APPEND_DEGENERATED, w
+            yield StepKind.APPEND_DEGENERATED, w
     prune = (StepKind.PRUNE_CONNECTED if cls.kind is Kind.MESSAGE_CONNECTED
              else StepKind.PRUNE_NON_DEGENERATED)
     for v in sorted(scc):
-        yield g.without_out_arcs(v), prune, v
+        yield prune, v
+
+
+def _apply(g: WorkGraph, kind: StepKind, x) -> WorkGraph:
+    """The graph one step (kind, x) of ``_steps`` makes from g."""
+    if kind is StepKind.APPEND_DISCONNECTED:
+        return g.with_new_dummy(x)[0]
+    if kind is StepKind.APPEND_DEGENERATED:
+        return g.with_arc(x.v_inside, x.target)
+    return g.without_out_arcs(x)
 
 
 def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
           steps: list[StepRecord]) -> WorkGraph:
     """Apply the canonical step on scc and record it."""
-    g2, kind, x = next(_steps(g, u, scc))
+    kind, x = next(_steps(g, u, scc))
+    g2 = _apply(g, kind, x)
     if kind is StepKind.APPEND_DISCONNECTED:
-        rec = StepRecord(kind=kind, scc=scc, phase=phase, added_arc=(min(scc), x), dummy=x)
+        dummy = g2.vertices[-1]  # the new, largest vertex
+        rec = StepRecord(kind=kind, scc=scc, phase=phase, added_arc=(x, dummy), dummy=dummy)
     elif kind is StepKind.APPEND_DEGENERATED:
         rec = StepRecord(kind=kind, scc=scc, phase=phase,
                          added_arc=(x.v_inside, x.target), witness=x)
@@ -193,7 +205,7 @@ def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
     best_scc = None
     best_gain = -1
     for scc in sccs:
-        g2 = next(_steps(g, u, scc))[0]
+        g2 = _apply(g, *next(_steps(g, u, scc)))
         gain = 0
         for other in sccs:
             if other == scc:
@@ -257,26 +269,52 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
 
 # ------------------------------------------------- exhaustive maximum
 
-def _state_key(g: WorkGraph):
-    real = []
-    dummy_sources = []
-    for (i, j) in g.arcs:
-        if j in g.dummies:
-            dummy_sources.append(i)
-        else:
-            real.append((i, j))
-    return (tuple(sorted(real)), tuple(sorted(dummy_sources)))
+def _child_score(g: WorkGraph, key, vo: int, nleaf: int, kind: StepKind, x):
+    """The state key, v_out and leaf-SCC count of g's child by step
+    (kind, x), from g's own (key, vo, nleaf), and the child graph if
+    scoring it had to build it.
+
+    A key is (real arcs, dummy sources), both frozensets: a vertex sources
+    at most one dummy arc, since it gets one only while in a leaf SCC and
+    only a prune takes it away, after which the vertex stays a leaf.
+    - dummy append under x: x's leaf SCC C stops being a leaf, v_out stays;
+    - prune of x in C: x becomes a leaf and no part of C is a leaf SCC,
+      since each other vertex of C still reaches x, now a sink;
+    - witness append (a, b): C stops being a leaf unless b reaches a; then
+      b's side merges into C, and the child's partition says whether the
+      merged SCC is a leaf.
+    """
+    real, sources = key
+    if kind is StepKind.APPEND_DISCONNECTED:
+        return (real, sources | {x}), vo, nleaf - 1, None
+    if kind is StepKind.APPEND_DEGENERATED:
+        a, b = x.v_inside, x.target
+        key = (real | {(a, b)}, sources)
+        if a not in reach(g, b):
+            return key, vo, nleaf - 1, None
+        child = _apply(g, kind, x)
+        return key, vo, len(leaf_scc_sets(child)), child
+    # x's out-arcs lie inside its leaf SCC, so none goes to a dummy
+    return (real.difference([(x, w) for w in g.out_neighbors(x)]), sources), \
+        vo - 1, nleaf - 1, None
 
 
 def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> ExhaustiveResult:
     """Maximize the final non-leaf count over every admissible sequence:
     which leaf SCC to touch, which vertex to prune, and which degeneracy
     witness or target to append with all branch.  States reconverge, so
-    results are memoized under a dummy-insensitive canonical key.
+    results are memoized under a dummy-insensitive canonical key: the set
+    of real arcs and the set of dummy sources.
 
-    If the state cap is hit, unexplored branches are finished by
-    prune-everything completions, which keeps the reported bound sound
-    but possibly loose; the result is flagged inexact.
+    Each child is scored from its parent before any graph is built: its
+    key is the parent's key patched by the step, and its v_out and
+    leaf-SCC count follow from the parent's (``_child_score``).  Only a
+    child that is searched, or a witness append that merges SCCs, is
+    built.  A memo hit takes the memo value, a grounded child its v_out.
+    Once the state cap is hit, the other children are finished by
+    prune-everything completions (v_out minus the leaf-SCC count), which
+    keeps the reported bound sound but possibly loose; the result is
+    flagged inexact.
 
     The search is depth-first on an explicit stack, so its depth is not
     bounded by Python's recursion limit.
@@ -286,40 +324,45 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     memo: dict = {}
     states = 0
     truncated = False
-    # one frame per state being searched: [key, its children, best so far]
+    # one frame per state being searched:
+    # [graph, key, v_out, leaf-SCC count, its steps, best so far]
     stack: list[list] = []
 
-    def enter(g: WorkGraph) -> int | None:
-        """g's value if it needs no search, else None with g's frame pushed."""
+    def enter(key, vo: int, nleaf: int, g: WorkGraph | None, parent=None, step=None):
+        """The state's value if it needs no search, else None with its
+        frame pushed; g is the state's graph, or None to build it from
+        parent by step."""
         nonlocal states, truncated
-        key = _state_key(g)
         if key in memo:
             return memo[key]
-        sccs = leaf_scc_sets(g)
-        if not sccs:
-            val = v_out(g)
-            memo[key] = val
-            return val
+        if not nleaf:
+            memo[key] = vo
+            return vo
         if states >= max_states:
             truncated = True
-            return v_out(g) - len(sccs)  # finish by pruning everything
+            return vo - nleaf  # finish by pruning everything
         states += 1
-        stack.append([key, chain.from_iterable(_steps(g, u, scc) for scc in sccs), 0])
+        if g is None:
+            g = _apply(parent, *step)
+        steps = chain.from_iterable(_steps(g, u, scc) for scc in leaf_scc_sets(g))
+        stack.append([g, key, vo, nleaf, steps, 0])
         return None
 
-    val = enter(g0)
+    # an instance's graph has no dummies
+    val = enter((g0.arcs, frozenset()), v_out(g0), len(leaf_scc_sets(g0)), g0)
     while stack:
         frame = stack[-1]
-        step = next(frame[1], None)
+        step = next(frame[4], None)
         if step is None:
             stack.pop()
-            val = frame[2]
+            val = frame[5]
             if not truncated:
-                memo[frame[0]] = val
+                memo[frame[1]] = val
         else:
-            val = enter(step[0])
+            g = frame[0]
+            val = enter(*_child_score(g, frame[1], frame[2], frame[3], *step), g, step)
         if val is not None and stack:
-            stack[-1][2] = max(stack[-1][2], val)
+            stack[-1][5] = max(stack[-1][5], val)
     return ExhaustiveResult(bound=val, exact=not truncated, states_visited=states)
 
 

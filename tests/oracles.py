@@ -18,9 +18,10 @@ from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
                             _coord, _receivers, _residues, _trivial_upper_code,
                             symbol_vectors)
-from uniprior.graph import reach
-from uniprior.multi import (ConnectingTree, TreeSearchResult, _graphs, _is_tree_vertex_set,
-                            _message_connected_leaf_sccs, _require_binary)
+from uniprior.graph import leaf_scc_sets, reach, v_out
+from uniprior.multi import (ConnectingTree, ExhaustiveResult, TreeSearchResult, _apply,
+                            _graphs, _is_tree_vertex_set, _message_connected_leaf_sccs,
+                            _require_binary, _steps)
 
 
 def brute_reach(g: WorkGraph) -> dict[int, set[int]]:
@@ -419,3 +420,62 @@ def reference_find_connecting_trees(inst: Instance, exact_limit: int = 12) -> Tr
     trees = tuple(ConnectingTree(vertices=vs, edges=reference_spanning_tree_edges(u, vs))
                   for vs in sorted(taken, key=min))
     return TreeSearchResult(trees=trees, exact=False)
+
+
+def _reference_state_key(g: WorkGraph):
+    real = []
+    dummy_sources = []
+    for (i, j) in g.arcs:
+        if j in g.dummies:
+            dummy_sources.append(i)
+        else:
+            real.append((i, j))
+    return (tuple(sorted(real)), tuple(sorted(dummy_sources)))
+
+
+def reference_exhaustive_lower_bound(inst: Instance,
+                                     max_states: int = 10 ** 6) -> ExhaustiveResult:
+    """The exhaustive search that builds every child graph before it
+    scores it: each child's key is a sorted tuple of its arcs, and its
+    v_out and leaf SCCs are recounted from the built graph."""
+    _require_binary(inst)
+    g0, u = _graphs(inst)
+    memo: dict = {}
+    states = 0
+    truncated = False
+    # one frame per state being searched: [key, its children, best so far]
+    stack: list[list] = []
+
+    def enter(g: WorkGraph) -> int | None:
+        """g's value if it needs no search, else None with g's frame pushed."""
+        nonlocal states, truncated
+        key = _reference_state_key(g)
+        if key in memo:
+            return memo[key]
+        sccs = leaf_scc_sets(g)
+        if not sccs:
+            val = v_out(g)
+            memo[key] = val
+            return val
+        if states >= max_states:
+            truncated = True
+            return v_out(g) - len(sccs)  # finish by pruning everything
+        states += 1
+        stack.append([key, (_apply(g, kind, x) for scc in sccs
+                            for kind, x in _steps(g, u, scc)), 0])
+        return None
+
+    val = enter(g0)
+    while stack:
+        frame = stack[-1]
+        child = next(frame[1], None)
+        if child is None:
+            stack.pop()
+            val = frame[2]
+            if not truncated:
+                memo[frame[0]] = val
+        else:
+            val = enter(child)
+        if val is not None and stack:
+            stack[-1][2] = max(stack[-1][2], val)
+    return ExhaustiveResult(bound=val, exact=not truncated, states_visited=states)

@@ -13,7 +13,7 @@ from uniprior import (Kind, LinearIndexCode, TightReason, WorkGraph,
                       oracle_min_linear, run_algorithm2, scc_partition,
                       solve_single, step_limit, symbol, v_out,
                       verify_exhaustive, verify_linear)
-from uniprior.multi import _steps
+from uniprior.multi import _apply, _steps
 from uniprior.single import solve_arithmetic
 
 from generators import (make_instance, rand_code, rand_cyclic, rand_disjoint,
@@ -119,7 +119,7 @@ def test_c07_step_deltas_and_termination():
         u = derive_message_graph(inst)
         for scc in leaf_scc_sets(g):
             c = classify_leaf_scc(g, u, scc)
-            g2 = next(_steps(g, u, scc))[0]
+            g2 = _apply(g, *next(_steps(g, u, scc)))
             if c.kind is Kind.MESSAGE_DISCONNECTED:
                 delta = (-1, 0)
             elif c.kind is Kind.DEGENERATED:

@@ -11,7 +11,7 @@ from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph,
                       derive_message_graph, find_degeneracy_witness,
                       leaf_scc_sets, run_algorithm2)
 from uniprior.classify import witness_options
-from uniprior.multi import _steps
+from uniprior.multi import _apply, _steps
 
 from generators import make_instance, rand_cyclic
 from oracles import brute_witness_exists, reference_witness_options
@@ -55,7 +55,7 @@ def test_gap_two_cycle_non_degenerated():
 
 def test_gap_after_prune_gains_witness():
     g, u = graph_and_u(GAP)
-    g2 = next(h for h, _, v in _steps(g, u, frozenset({3, 4})) if v == 3)
+    g2 = next(_apply(g, k, v) for k, v in _steps(g, u, frozenset({3, 4})) if v == 3)
     w = find_degeneracy_witness(g2, u, frozenset({1, 2}))
     assert w == DegeneracyWitness(s_inside=frozenset({1}),
                                   s_outside=frozenset({3, 5}),
@@ -152,7 +152,7 @@ def test_step_keeps_other_kinds_stable():
                   for s in leaf_scc_sets(g) if s != scc}
         if not others:
             continue
-        g2 = next(_steps(g, u, scc))[0]
+        g2 = _apply(g, *next(_steps(g, u, scc)))
         examined += 1
         for s, old_kind in others.items():
             if s not in set(leaf_scc_sets(g2)):

@@ -20,6 +20,8 @@ from generators import big_sender_clusters, rand_cyclic, rand_multi, rand_triple
 
 EXHAUSTIVE_MAX_N = 6
 EXHAUSTIVE_MAX_STATES = 60
+CAPPED_MAX_STATES = (60, 7)
+CAPPED_COUNT = 150
 
 
 # family: (generator, count)
@@ -36,6 +38,9 @@ DIGESTS = {
     "rand_triples": "b17760e37ef35522acb0614686fc9dc64b9eb0ca47464406d7156235d0d297f4",
     "big_sender": "1ea181283542a59fa73472c42b25f22ccf104b757d82a08734167b43fecbb9b5",
 }
+
+# recorded from the search that built every child graph before scoring it
+CAPPED_DIGEST = "e613758e9cd31b0701b0f7208a21e5791fc5528e9d6d7e7a4595ca661b01faa3"
 
 
 def _witness(w):
@@ -74,3 +79,28 @@ def test_golden_corpus_digest(family):
     for line in _family_lines(family):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == DIGESTS[family]
+
+
+def _capped_instance(rng: random.Random):
+    """A rand_cyclic instance with 9 to 12 messages, where a search
+    capped at CAPPED_MAX_STATES usually runs out of states."""
+    while (inst := rand_cyclic(rng, n_max=12)).n < 9:
+        pass
+    return inst
+
+
+def _capped_lines() -> list[str]:
+    rng = random.Random("golden:capped")
+    lines = []
+    for _ in range(CAPPED_COUNT):
+        inst = _capped_instance(rng)
+        rs = [exhaustive_lower_bound(inst, max_states=m) for m in CAPPED_MAX_STATES]
+        lines.append(repr([(r.bound, r.exact, r.states_visited) for r in rs]))
+    return lines
+
+
+def test_golden_capped_exhaustive_digest():
+    h = hashlib.sha256()
+    for line in _capped_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == CAPPED_DIGEST

@@ -16,11 +16,12 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       is_grounded, leaf_scc_sets, oracle_min_linear,
                       run_algorithm2, senders_pairwise_disjoint, solve_single,
                       step_limit, symbol, v_out, verify_linear)
-from uniprior.multi import _spanning_tree_edges, _steps
+from uniprior.multi import _apply, _child_score, _spanning_tree_edges, _steps
 
 from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
                         rand_multi, rand_single, rand_triples)
-from oracles import reference_find_connecting_trees, reference_spanning_tree_edges
+from oracles import (brute_leaf_scc_sets, reference_exhaustive_lower_bound,
+                     reference_find_connecting_trees, reference_spanning_tree_edges)
 
 GAP = make_instance(6, [[1, 2], [2, 1], [3, 4], [4, 3], [5, 6], [6, 5]],
                    [[1, 3, 5], [2, 3, 5], [2, 4, 5], [2, 4, 6]])
@@ -38,7 +39,7 @@ def graph_and_u(inst):
 
 def first_prune(g, u, scc):
     """The graph after the first prune step on scc: its smallest vertex."""
-    return next(h for h, kind, _ in _steps(g, u, scc)
+    return next(_apply(g, kind, x) for kind, x in _steps(g, u, scc)
                 if kind in (StepKind.PRUNE_CONNECTED, StepKind.PRUNE_NON_DEGENERATED))
 
 
@@ -166,7 +167,9 @@ def test_exhaustive_truncation_is_flagged_and_sound():
 
 def test_append_disconnected_dummy_numbering():
     g, u = graph_and_u(SPLIT)
-    g2, kind, dummy = next(_steps(g, u, frozenset({1, 2, 3, 4})))
+    kind, source = next(_steps(g, u, frozenset({1, 2, 3, 4})))
+    g2 = _apply(g, kind, source)
+    dummy = max(g2.dummies)
     assert kind is StepKind.APPEND_DISCONNECTED
     assert dummy == 5
     assert (1, 5) in g2.arcs
@@ -179,7 +182,8 @@ def test_append_degenerated_named_cases():
     # D1: arc 1->3 assimilates the 2-cycle into a bigger leaf SCC
     g, u = graph_and_u(D1)
     w = classify_leaf_scc(g, u, frozenset({1, 2})).degeneracy
-    g2, kind, taken = next(_steps(g, u, frozenset({1, 2})))
+    kind, taken = next(_steps(g, u, frozenset({1, 2})))
+    g2 = _apply(g, kind, taken)
     assert (kind, taken) == (StepKind.APPEND_DEGENERATED, w)
     assert (1, 3) in g2.arcs
     assert leaf_scc_sets(g2) == [frozenset({1, 2, 3})]
@@ -190,7 +194,8 @@ def test_append_degenerated_named_cases():
     assert g.out_degree(3) == 0
     w = classify_leaf_scc(g, u, frozenset({1, 2})).degeneracy
     assert w.target == 5
-    g2, _, taken = next(_steps(g, u, frozenset({1, 2})))
+    kind, taken = next(_steps(g, u, frozenset({1, 2})))
+    g2 = _apply(g, kind, taken)
     assert taken == w
     assert (1, 5) in g2.arcs
     assert len(leaf_scc_sets(g2)) == len(leaf_scc_sets(g)) - 1
@@ -203,7 +208,8 @@ def test_append_disconnected_leaves_the_other_cycle_alone():
     g, u = graph_and_u(inst)
     before = classify_leaf_scc(g, u, frozenset({3, 4}))
     assert before.kind is Kind.MESSAGE_DISCONNECTED
-    g2, kind, _ = next(_steps(g, u, frozenset({1, 2})))
+    kind, x = next(_steps(g, u, frozenset({1, 2})))
+    g2 = _apply(g, kind, x)
     assert kind is StepKind.APPEND_DISCONNECTED
     assert classify_leaf_scc(g2, u, frozenset({3, 4})) == before
     assert v_out(g2) == v_out(g)
@@ -243,6 +249,69 @@ def test_exhaustive_search_depth_is_not_bounded_by_the_recursion_limit():
     assert ex == ExhaustiveResult(bound=200, exact=False, states_visited=100)
 
 
+def test_capped_exhaustive_search_scores_children_without_building_them():
+    # 200 disjoint 2-cycles with singleton senders: every state has 3
+    # steps per 2-cycle left; when each child graph was built to be
+    # scored, this took about 20 s
+    n = 400
+    inst = make_instance(n, [[i, i + 1] for i in range(1, n, 2)]
+                         + [[i + 1, i] for i in range(1, n, 2)],
+                         [[v] for v in range(1, n + 1)])
+    t0 = time.perf_counter()
+    ex = exhaustive_lower_bound(inst, max_states=100)
+    elapsed = time.perf_counter() - t0
+    assert ex == ExhaustiveResult(bound=300, exact=False, states_visited=100)
+    assert elapsed < 5, f"exhaustive search took {elapsed:.1f} s"
+
+
+def test_exhaustive_matches_reference_search():
+    rng = random.Random(137)
+    insts = [rand_cyclic(rng, n_max=12) for _ in range(60)]
+    insts += [rand_multi(rng, n_max=8) for _ in range(60)]
+    insts += [rand_triples(rng, t_max=4) for _ in range(30)]
+    insts += [big_sender_clusters(rng) for _ in range(12)]
+    searched = capped = 0
+    for inst in insts:
+        caps = (60, 7, 1, 0) if inst.n > 8 else (10 ** 6, 60, 7, 1, 0)
+        for cap in caps:
+            ex = exhaustive_lower_bound(inst, max_states=cap)
+            assert ex == reference_exhaustive_lower_bound(inst, max_states=cap), (inst, cap)
+            searched += 1
+            capped += not ex.exact
+    assert searched >= 700 and capped >= 300
+
+
+def _built_key(g):
+    """(real arcs, dummy sources) of g, read from its arcs."""
+    sources = [i for (i, j) in g.arcs if j in g.dummies]
+    assert len(sources) == len(set(sources))  # at most one dummy arc each
+    return (frozenset(a for a in g.arcs if a[1] not in g.dummies), frozenset(sources))
+
+
+def test_child_scores_match_the_built_child():
+    # every step of every leaf SCC along random step sequences: the key,
+    # v_out and leaf-SCC count derived from the parent are the child's
+    rng = random.Random(139)
+    checked = merged = 0
+    for k in range(500):
+        inst = rand_cyclic(rng, n_max=9) if k % 3 else rand_multi(rng, n_max=8)
+        g, u = graph_and_u(inst)
+        while sccs := leaf_scc_sets(g):
+            key, vo = _built_key(g), v_out(g)
+            steps = [st for scc in sccs for st in _steps(g, u, scc)]
+            for kind, x in steps:
+                child_key, child_vo, nleaf, built = _child_score(g, key, vo, len(sccs), kind, x)
+                child = _apply(g, kind, x)
+                assert built is None or built == child
+                merged += built is not None  # a witness append merged SCCs
+                assert child_key == _built_key(child)
+                assert child_vo == v_out(child)
+                assert nleaf == len(leaf_scc_sets(child)) == len(brute_leaf_scc_sets(child))
+                checked += 1
+            g = _apply(g, *rng.choice(steps))
+    assert checked >= 3000 and merged >= 100
+
+
 def collect_steps(rng, rounds):
     """Yield (kind, before, after) over the canonical step of every leaf
     SCC of random graphs."""
@@ -251,7 +320,7 @@ def collect_steps(rng, rounds):
         g, u = graph_and_u(inst)
         for scc in leaf_scc_sets(g):
             c = classify_leaf_scc(g, u, scc)
-            yield c.kind, g, next(_steps(g, u, scc))[0]
+            yield c.kind, g, _apply(g, *next(_steps(g, u, scc)))
 
 
 def test_step_postconditions_bulk():
