@@ -13,7 +13,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, predecessors, reach
+from .graph import (WorkGraph, leaf_cover, leaf_scc_sets, leaf_vertices, predecessors,
+                    reach)
 from .instance import MessageGraph
 
 
@@ -69,51 +70,79 @@ def check_degeneracy_witness(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
     return u.neighbors_of_set(w.s_inside) <= covered
 
 
+def message_class(u: MessageGraph, scc: frozenset[int]) -> tuple[
+        LeafSccClass | None, tuple[tuple[frozenset[int], frozenset[int]], ...]]:
+    """What the message graph alone decides about a leaf SCC, computed
+    once per (u, scc) and memoized on u: the class of a message-connected
+    or message-disconnected SCC (None for a semi one), and the s_inside
+    candidates of a witness, as (component, its message neighbours)
+    pairs, one per message component inside the SCC that has no message
+    edge to the rest of it (none when the SCC is message-connected).
+
+    Any valid s_inside is a union of such components, and if a union
+    works then each member component works with the same s_outside, so
+    trying single components is complete.
+    """
+    part = u._scc_classes.get(scc)
+    if part is None:
+        comps = u.components_within(scc)
+        if len(comps) <= 1:
+            part = (LeafSccClass(kind=Kind.MESSAGE_CONNECTED), ())
+        else:
+            # the first pair (a, b) in sorted order split across
+            # components always has a = min(scc)
+            first = min(scc)
+            home = u.component_of(first)
+            b = next((b for b in sorted(scc) if u.component_of(b) != home), None)
+            cls = None if b is None else LeafSccClass(kind=Kind.MESSAGE_DISCONNECTED,
+                                                      disconnected_pair=(first, b))
+            inside = []
+            for comp in comps:
+                nbrs = frozenset(u.neighbors_of_set(comp))
+                if not nbrs & scc:
+                    inside.append((comp, nbrs))
+            part = (cls, tuple(inside))
+        u._scc_classes[scc] = part
+    return part
+
+
 def witness_options(g: WorkGraph, u: MessageGraph,
                     scc: frozenset[int]) -> Iterator[DegeneracyWitness]:
-    """Every admissible append of a semi leaf SCC, canonical one first:
-    each message component inside the SCC as s_inside, each canonical
-    s_outside (all real outside leaves plus at most one non-leaf), each
-    v_inside in the component, and as target any of those leaves when
-    s_outside has no non-leaf, else the non-leaf.
+    """Every admissible append of a leaf SCC, canonical one first: each
+    s_inside candidate of ``message_class``, each canonical s_outside
+    (all real leaves, which lie outside the SCC, plus at most one
+    non-leaf), each v_inside in the component, and as target any of
+    those leaves when s_outside has no non-leaf, else the non-leaf.
 
-    Any valid s_inside is a union of connected components of the message
-    graph restricted to the SCC, and if a union works then each member
-    component works with the same s_outside, so trying single components
-    is complete.  Enlarging s_outside only helps, so the canonical ones
-    are complete too.  Dummy vertices are left out of witnesses: their
-    correctness argument is the disconnected-append one, not this one.
+    Enlarging s_outside only helps, so the canonical ones are complete.
+    Dummy vertices are left out of witnesses: their correctness argument
+    is the disconnected-append one, not this one.
     """
-    leaves = leaf_vertices(g)
-    outside_leaves = frozenset(v for v in leaves if v not in scc and v not in g.dummies)
-    non_leaves_outside = sorted(v for v in g.vertices
-                                if v not in scc and v not in leaves and v not in g.dummies)
-    base_cover = set(outside_leaves)
-    for v in outside_leaves:
-        base_cover |= predecessors(g, v)
-    for comp in u.components_within(scc):
-        if comp == scc:
-            continue  # s_inside must be a proper subset
-        nbrs = u.neighbors_of_set(comp)
-        if nbrs & scc:
-            continue  # a message edge crosses to the rest of the SCC
-        # condition (c) with s_outside = outside leaves + w: what the
-        # leaves' cover misses must be w or precede w, so w is reachable
-        # from every missed vertex (or is the one missed vertex)
-        missed = nbrs - base_cover
-        if outside_leaves and not missed:
+    leaves, cover, non_leaves = leaf_cover(g)
+    for comp, nbrs in message_class(u, scc)[1]:
+        # condition (c) with s_outside = leaves + w: what the leaves'
+        # cover misses must be w or precede w, so w is reachable from
+        # every missed vertex (or is the one missed vertex)
+        missed = nbrs - cover
+        if leaves and not missed:
             for v_inside in sorted(comp):
-                for target in sorted(outside_leaves):
-                    yield DegeneracyWitness(s_inside=comp, s_outside=outside_leaves,
+                for target in sorted(leaves):
+                    yield DegeneracyWitness(s_inside=comp, s_outside=leaves,
                                             v_inside=v_inside, target=target)
-        candidates = non_leaves_outside
-        for x in missed:
-            if not candidates:
-                break
-            fwd = reach(g, x)
-            candidates = [w for w in candidates if w == x or w in fwd]
-        for w in candidates:
-            s_outside = outside_leaves | {w}
+        if missed:
+            targets = None
+            for x in missed:
+                fwd = reach(g, x)
+                targets = (fwd | {x} if targets is None
+                           else {w for w in targets if w == x or w in fwd})
+                if not targets:
+                    break
+            all_leaves = leaf_vertices(g)
+            targets = sorted(w for w in targets if w not in all_leaves and w not in scc)
+        else:
+            targets = [w for w in non_leaves if w not in scc]
+        for w in targets:
+            s_outside = leaves | {w}
             for v_inside in sorted(comp):
                 yield DegeneracyWitness(s_inside=comp, s_outside=s_outside,
                                         v_inside=v_inside, target=w)
@@ -131,17 +160,12 @@ def find_degeneracy_witness(g: WorkGraph, u: MessageGraph,
 
 def classify_leaf_scc(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
     """Exactly one kind per leaf SCC; disconnection takes precedence over
-    degeneracy, matching the definition of a semi leaf SCC."""
+    degeneracy, matching the definition of a semi leaf SCC.  Only a semi
+    SCC is searched for a witness."""
     _require_leaf_scc(g, scc)
-    if u.connected_within(scc):
-        return LeafSccClass(kind=Kind.MESSAGE_CONNECTED)
-    # the first pair (a, b) in sorted order split across components
-    # always has a = min(scc)
-    first = min(scc)
-    for b in sorted(scc):
-        if u.component_of(b) != u.component_of(first):
-            return LeafSccClass(kind=Kind.MESSAGE_DISCONNECTED,
-                                disconnected_pair=(first, b))
+    cls = message_class(u, scc)[0]
+    if cls is not None:
+        return cls
     witness = find_degeneracy_witness(g, u, scc)
     if witness is not None:
         return LeafSccClass(kind=Kind.DEGENERATED, degeneracy=witness)

@@ -6,12 +6,13 @@ Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
 
 Because graphs are values, derived structure is stored on the graph on
-first use: the SCC partition, the leaf set, and each vertex's
-predecessors and forward reach.  A graph made from another by one step
-(``with_arc``, ``without_out_arcs``, ``with_new_dummy``) is not rebuilt:
-it patches its parent's adjacency and checks only the new arc.  If the
-parent's SCC partition was computed when the step was taken, the child
-keeps that partition and the step, and on first query inherits its own
+first use: the SCC partition, the leaf set, the leaf cover the witness
+search starts from, and each vertex's predecessors and forward reach.
+A graph made from another by one step (``with_arc``,
+``without_out_arcs``, ``with_new_dummy``) is not rebuilt: it patches
+its parent's adjacency and checks only the new arc.  If the parent's
+SCC partition was computed when the step was taken, the child keeps
+that partition and the step, and on first query inherits its own
 partition by a local update (``_child_partition``): one step changes
 only the SCC of the vertex it touches.  A child never holds its parent
 graph, so no chain of graphs stays alive.
@@ -61,9 +62,10 @@ class WorkGraph:
 
     def _init_derived(self, base) -> None:
         # Derived structure, filled on first query (see the module
-        # docstring); _classes holds leaf-SCC classes for Algorithm 2.
+        # docstring); _classes holds semi leaf-SCC classes for Algorithm 2.
         self._scc: SccPartition | None = None
         self._leaves: frozenset[int] | None = None
+        self._cover: tuple | None = None
         self._preds: dict[int, frozenset[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
         self._classes: dict = {}
@@ -298,6 +300,20 @@ def leaf_vertices(g: WorkGraph) -> frozenset[int]:
     if g._leaves is None:
         g._leaves = frozenset(v for v, ns in g._out.items() if not ns)
     return g._leaves
+
+
+def leaf_cover(g: WorkGraph) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]]:
+    """(real leaves, those leaves with all their predecessors, real
+    non-leaves ascending), computed once per graph: the s_outside of a
+    leaf-only degeneracy witness, the vertices it covers, and the
+    candidates for its one non-leaf.  No leaf lies in a leaf SCC, so
+    these are the same for every leaf SCC of g."""
+    if g._cover is None:
+        leaves = leaf_vertices(g)
+        real = leaves - g.dummies
+        g._cover = (real, real | _closure(g._in, real),
+                    tuple(v for v in g.vertices if v not in leaves))
+    return g._cover
 
 
 def _closure(adj: dict[int, tuple[int, ...]], sources) -> frozenset[int]:

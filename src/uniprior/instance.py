@@ -37,7 +37,9 @@ class MessageGraph:
 
     The adjacency is built once, on construction, and the components on
     their first query; neither is a dataclass field, so equality,
-    hashing and repr still see n and the edges only.
+    hashing and repr still see n and the edges only.  Neither is the
+    memo of leaf-SCC message classes that ``classify.message_class``
+    keeps here.
     """
 
     n: int
@@ -51,6 +53,7 @@ class MessageGraph:
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_comps", None)
         object.__setattr__(self, "_comp_of", None)
+        object.__setattr__(self, "_scc_classes", {})
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges

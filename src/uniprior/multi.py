@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import chain, islice
 
 from .classify import (DegeneracyWitness, Kind, LeafSccClass, classify_leaf_scc,
-                       find_degeneracy_witness, witness_options)
+                       find_degeneracy_witness, message_class, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
 from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, reach, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
@@ -115,13 +115,16 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
 # ------------------------------------------------------------ steps
 
 def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
-    """The class of a leaf SCC of g.  Each (graph, message graph, leaf
-    SCC) is classified once; Algorithm 2 scans one graph state several
-    times."""
-    key = (u, scc)
-    cls = g._classes.get(key)
+    """The class of a leaf SCC of g.  A message-connected or -disconnected
+    class is read from the message graph's memo; a semi SCC is classified
+    once per (graph, message graph, leaf SCC), since Algorithm 2 scans
+    one graph state several times."""
+    cls = message_class(u, scc)[0]
     if cls is None:
-        cls = g._classes[key] = classify_leaf_scc(g, u, scc)
+        key = (u, scc)
+        cls = g._classes.get(key)
+        if cls is None:
+            cls = g._classes[key] = classify_leaf_scc(g, u, scc)
     return cls
 
 
@@ -175,9 +178,14 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
 # ------------------------------------------------------- Algorithm 2
 
 def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
-    """The first leaf SCC of g, in partition order, of the given kind."""
+    """The first leaf SCC of g, in partition order, of the given kind.
+    Only a scan for a degenerated SCC searches for witnesses, and only on
+    semi SCCs."""
     for scc in leaf_scc_sets(g):
-        if _class_of(g, u, scc).kind is kind:
+        cls = message_class(u, scc)[0]
+        if cls is None and kind is Kind.DEGENERATED:
+            cls = _class_of(g, u, scc)
+        if cls is not None and cls.kind is kind:
             return scc
     return None
 
@@ -369,7 +377,9 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
 # ------------------------------------------------- connecting trees
 
 def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
-    return [scc for scc in leaf_scc_sets(g) if u.connected_within(scc)]
+    return [scc for scc in leaf_scc_sets(g)
+            if (cls := message_class(u, scc)[0]) is not None
+            and cls.kind is Kind.MESSAGE_CONNECTED]
 
 
 def _is_tree_vertex_set(g: WorkGraph, u: MessageGraph, vs: frozenset[int],

@@ -148,6 +148,55 @@ def big_sender_clusters(rng: random.Random) -> Instance:
     return make_instance(n, arcs, senders)
 
 
+def cyclic_arcs(rng: random.Random, verts, extra: int) -> list[list[int]]:
+    """Disjoint directed 2- and 3-cycles on a shuffled vertex list, then
+    ``extra`` random arcs between its vertices (repeats dropped): the
+    construction of the benchmark's instance pools."""
+    verts = list(verts)
+    rng.shuffle(verts)
+    n = len(verts)
+    arcs: list[list[int]] = []
+    i = 0
+    while i < n:
+        k = rng.randint(2, min(3, n - i)) if n - i >= 2 else 1
+        cyc = verts[i:i + k]
+        if len(cyc) >= 2:
+            arcs += [[a, b] for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+        i += k
+    seen = {tuple(a) for a in arcs}
+    for _ in range(extra):
+        a, b = rng.sample(verts, 2)
+        if (a, b) not in seen:
+            seen.add((a, b))
+            arcs.append([a, b])
+    return arcs
+
+
+def cyclic_with_triples(rng: random.Random, n: int, size_max: int,
+                        big_sender: bool) -> Instance:
+    """n messages: cyclic clusters under small overlapping senders of at
+    most size_max messages, plus up to three planted connecting-tree
+    triples, and with big_sender one more sender owning about 30% of the
+    messages.  The shape of the benchmark's multi-bound pool."""
+    triples = rand_triples(rng, t_max=3)
+    base = n - triples.n
+    arcs = cyclic_arcs(rng, range(1, base + 1), base // 4)
+    senders = rand_senders(rng, base, size_max=size_max, extra=base // 8)
+    arcs += [[i + base, j + base] for (i, j) in triples.arcs]
+    senders += [[m + base for m in s] for s in triples.senders]
+    if big_sender:
+        senders.append(sorted(rng.sample(range(1, n + 1), round(0.3 * n))))
+    return make_instance(n, arcs, senders)
+
+
+def cyclic_300() -> Instance:
+    """The n=300 cyclic instance the performance notes measure: 2- and
+    3-cycles plus 30 extra arcs, senders of at most 6 messages."""
+    rng = random.Random("a2:300")
+    arcs = cyclic_arcs(rng, range(1, 301), 30)
+    return make_instance(300, arcs, rand_senders(rng, 300, size_max=6, extra=37))
+
+
 def rand_code(rng: random.Random, inst: Instance, max_len: int = 6) -> LinearIndexCode:
     """Random well-formed code: each symbol XORs a nonempty subset of one
     sender's bits."""

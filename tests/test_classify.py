@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,12 @@ from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph,
                       check_degeneracy_witness, classify_leaf_scc,
                       derive_message_graph, find_degeneracy_witness,
                       leaf_scc_sets, run_algorithm2)
-from uniprior.classify import witness_options
-from uniprior.multi import _apply, _steps
+from uniprior.classify import message_class, witness_options
+from uniprior.multi import _apply, _graphs, _steps
 
 from generators import make_instance, rand_cyclic
-from oracles import brute_witness_exists, reference_witness_options
+from oracles import (brute_witness_exists, reference_components, reference_connected_within,
+                     reference_witness_options)
 from test_golden import FAMILIES
 
 D1 = make_instance(3, [[1, 2], [2, 1], [3, 1]], [[1, 3], [2, 3]])
@@ -185,24 +187,63 @@ def _algorithm2_states(inst):
     return states
 
 
-def test_witness_options_match_reference_on_algorithm2_states():
-    # every leaf SCC of every state, and of each state with one leaf SCC
-    # pruned (the graphs the rule-of-thumb lookahead searches)
+def _state_instances():
     instances = []
     for family, (make, count) in sorted(FAMILIES.items()):
         rng = random.Random(f"golden:{family}")
         instances += [make(rng) for _ in range(count)]
     rng = random.Random(79)
     instances += [rand_cyclic(rng, n_max=16, size_max=4) for _ in range(200)]
+    return instances
+
+
+def _searched_graphs(inst):
+    """Every state of run_algorithm2 on inst, and each state with one
+    leaf SCC pruned (the graphs the rule-of-thumb lookahead searches)."""
+    for g in _algorithm2_states(inst):
+        sccs = leaf_scc_sets(g)
+        yield from [g] + [g.without_out_arcs(min(scc)) for scc in sccs]
+
+
+def test_message_class_memo_matches_reference_on_algorithm2_states():
+    # the memo that Algorithm 2 filled on the instance's message graph,
+    # against edge-scan components of a freshly derived one
+    counts = dict.fromkeys(Kind, 0)
+    for inst in _state_instances():
+        graphs = list(_searched_graphs(inst))
+        u = _graphs(inst)[1]
+        fresh = derive_message_graph(inst)
+        comps = reference_components(fresh)
+        comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+        for h in graphs:
+            for scc in leaf_scc_sets(h):
+                cls = message_class(u, scc)[0]
+                if reference_connected_within(fresh, scc):
+                    assert cls.kind is Kind.MESSAGE_CONNECTED and cls.disconnected_pair is None
+                    counts[cls.kind] += 1
+                    continue
+                pair = next(((a, b) for a, b in combinations(sorted(scc), 2)
+                             if comp_of[a] != comp_of[b]), None)
+                if pair is None:
+                    assert cls is None  # semi: the witness search decides
+                    counts[classify_leaf_scc(h, u, scc).kind] += 1
+                else:
+                    assert cls.kind is Kind.MESSAGE_DISCONNECTED
+                    assert cls.disconnected_pair == pair
+                    counts[cls.kind] += 1
+    assert min(counts.values()) >= 1000, counts
+
+
+def test_witness_options_match_reference_on_algorithm2_states():
+    # every leaf SCC of every state, and of each state with one leaf SCC
+    # pruned
     searched = found = 0
-    for inst in instances:
+    for inst in _state_instances():
         u = derive_message_graph(inst)
-        for g in _algorithm2_states(inst):
-            sccs = leaf_scc_sets(g)
-            for h in [g] + [g.without_out_arcs(min(scc)) for scc in sccs]:
-                for scc in leaf_scc_sets(h):
-                    options = list(witness_options(h, u, scc))
-                    assert options == list(reference_witness_options(h, u, scc))
-                    searched += 1
-                    found += bool(options)
+        for h in _searched_graphs(inst):
+            for scc in leaf_scc_sets(h):
+                options = list(witness_options(h, u, scc))
+                assert options == list(reference_witness_options(h, u, scc))
+                searched += 1
+                found += bool(options)
     assert searched >= 5000 and found >= 1000, (searched, found)

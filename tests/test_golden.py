@@ -1,5 +1,7 @@
 """Golden corpus: Algorithm-2 step traces, bound reports and exhaustive
-bounds on 1 040 seeded instances, pinned by one sha256 per family.
+bounds on 1 040 seeded instances, pinned by one sha256 per family, plus
+the same lines on 60 instances shaped like the benchmark's multi-bound
+pool and on one n=300 cyclic instance.
 
 The digests were recorded from the implementation before graph queries
 were memoized.  Any change to a step, a witness, a final graph, a bound
@@ -16,7 +18,8 @@ import pytest
 
 from uniprior import bound_multi, exhaustive_lower_bound, run_algorithm2
 
-from generators import big_sender_clusters, rand_cyclic, rand_multi, rand_triples
+from generators import (big_sender_clusters, cyclic_300, cyclic_with_triples, rand_cyclic,
+                        rand_multi, rand_triples)
 
 EXHAUSTIVE_MAX_N = 6
 EXHAUSTIVE_MAX_STATES = 60
@@ -39,8 +42,21 @@ DIGESTS = {
     "big_sender": "1ea181283542a59fa73472c42b25f22ccf104b757d82a08734167b43fecbb9b5",
 }
 
+BENCH_SCALE_COUNT = 60
+
+# recorded before the message classes were memoized on the message graph
+BENCH_SCALE_DIGEST = "b16741608308fd78f78a78f89091fb887f97087a65df26e54caba0706fd6c391"
+CYCLIC_300_DIGEST = "3e8cee7718f23c276c3957c625cee85be4b964960416a8faab8ee457a5a18084"
+
 # recorded from the search that built every child graph before scoring it
 CAPPED_DIGEST = "e613758e9cd31b0701b0f7208a21e5791fc5528e9d6d7e7a4595ca661b01faa3"
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
 
 
 def _witness(w):
@@ -75,10 +91,7 @@ def _family_lines(family: str) -> list[str]:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden_corpus_digest(family):
-    h = hashlib.sha256()
-    for line in _family_lines(family):
-        h.update(line.encode() + b"\n")
-    assert h.hexdigest() == DIGESTS[family]
+    assert _digest(_family_lines(family)) == DIGESTS[family]
 
 
 def _capped_instance(rng: random.Random):
@@ -100,7 +113,21 @@ def _capped_lines() -> list[str]:
 
 
 def test_golden_capped_exhaustive_digest():
-    h = hashlib.sha256()
-    for line in _capped_lines():
-        h.update(line.encode() + b"\n")
-    assert h.hexdigest() == CAPPED_DIGEST
+    assert _digest(_capped_lines()) == CAPPED_DIGEST
+
+
+def _bench_scale_instances():
+    """n 24 to 36 spread by position, cyclic clusters with planted
+    triples, a 30% sender on every fourth instance."""
+    rng = random.Random("golden:bench_scale")
+    for k in range(BENCH_SCALE_COUNT):
+        n = 24 + 13 * k // BENCH_SCALE_COUNT
+        yield cyclic_with_triples(rng, n, size_max=4 + k % 3, big_sender=k % 4 == 3)
+
+
+def test_golden_benchmark_scale_digest():
+    assert _digest(map(_instance_line, _bench_scale_instances())) == BENCH_SCALE_DIGEST
+
+
+def test_golden_cyclic_300_digest():
+    assert _digest([_instance_line(cyclic_300())]) == CYCLIC_300_DIGEST
