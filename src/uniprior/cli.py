@@ -14,7 +14,6 @@ from .codes import (CapExceededError, LinearIndexCode, MalformedCodeError, json_
                     load_code, oracle_min_linear, serialize_code, verify_linear)
 from .graph import WorkGraph
 from .instance import Instance, ParseError, load_instance, validate
-from .single import solve_arithmetic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -88,8 +87,7 @@ def _cmd_solve(args) -> int:
         sol = single.solve_single(inst)
     except single.NotSingleSenderError as e:
         raise CliError(f"{e}; use the bound command for multi-sender instances") from e
-    g = WorkGraph.from_instance(inst)
-    total, leaf_w, scc_min, value = solve_arithmetic(g)
+    total, leaf_w, scc_min = sol.arithmetic
     if args.format == "json":
         _emit_json({"command": "solve", "optimal_length": sol.optimal_length,
                     "lower_bound": sol.lower_bound,
@@ -97,7 +95,7 @@ def _cmd_solve(args) -> int:
                                    "scc_min_sum": scc_min},
                     "code": sol.code, "trace": sol.trace})
     else:
-        print(f"optimal codelength = {total} - {leaf_w} - {scc_min} = {value}")
+        print(f"optimal codelength = {total} - {leaf_w} - {scc_min} = {sol.optimal_length}")
         print(f"code ({len(sol.code)} symbols):")
         for line in _code_lines(sol.code):
             print(line)
@@ -144,7 +142,7 @@ def _cmd_bound(args) -> int:
 def _cmd_encode(args) -> int:
     inst = _load_valid_instance(args.instance)
     if len(inst.senders) == 1:
-        code = single.solve_single(inst).code
+        code = single.encode_single(WorkGraph.from_instance(inst))
     else:
         try:
             trees = multi.find_connecting_trees(inst).trees

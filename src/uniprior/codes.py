@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NoReturn
 
 from .graph import WorkGraph
 from .instance import Instance, ParseError
@@ -58,29 +59,44 @@ def parse_code(text: str) -> LinearIndexCode:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise ParseError("JSON nested too deeply") from e
-    if not isinstance(doc, list):
+    if type(doc) is not list:
         raise ParseError("code document must be a JSON array of symbols")
+    # json.loads builds exact dicts, lists and ints, so type() tests are
+    # the isinstance tests, and type() is int keeps true/false out
     symbols = []
-    for k, sym in enumerate(doc):
-        if not isinstance(sym, dict) or set(sym) != {"sender", "terms"}:
-            raise ParseError(f"symbol {k} must be an object with fields sender, terms")
-        sender = sym["sender"]
-        if isinstance(sender, bool) or not isinstance(sender, int):
-            raise ParseError(f"symbol {k} sender must be an integer")
-        if not isinstance(sym["terms"], list) or not sym["terms"]:
-            raise ParseError(f"symbol {k} terms must be a nonempty array")
-        terms = sym["terms"]
-        # type() is int: JSON true/false must not pass as numbers
-        if not all(type(t) is list and len(t) == 2 and type(t[0]) is int and type(t[1]) is int
-                   for t in terms):
-            raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
-        symbols.append(CodeSymbol(sender=sender, terms=tuple(sorted({(m, b) for m, b in terms}))))
+    for sym in doc:
+        if type(sym) is dict and len(sym) == 2:
+            sender = sym.get("sender")
+            terms = sym.get("terms")
+            if type(sender) is int and type(terms) is list and terms:
+                for t in terms:
+                    if type(t) is not list or len(t) != 2 or type(t[0]) is not int \
+                            or type(t[1]) is not int:
+                        break
+                else:
+                    symbols.append(CodeSymbol(sender, tuple(sorted({(m, b) for m, b in terms}))))
+                    continue
+        _symbol_error(len(symbols), sym)
     return LinearIndexCode(symbols=tuple(symbols))
+
+
+def _symbol_error(k: int, sym) -> NoReturn:
+    """Raise the ParseError that names what is wrong with symbol k."""
+    if not isinstance(sym, dict) or set(sym) != {"sender", "terms"}:
+        raise ParseError(f"symbol {k} must be an object with fields sender, terms")
+    if isinstance(sym["sender"], bool) or not isinstance(sym["sender"], int):
+        raise ParseError(f"symbol {k} sender must be an integer")
+    if not isinstance(sym["terms"], list) or not sym["terms"]:
+        raise ParseError(f"symbol {k} terms must be a nonempty array")
+    raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
 
 
 def serialize_code(code: LinearIndexCode) -> str:
     # keys already sorted, so this is json.dumps(doc, indent=2) + "\n"
-    return json_text([{"sender": s.sender, "terms": s.terms} for s in code.symbols]) + "\n"
+    text = _symbols_text(code.symbols, "\n")
+    if text is None:
+        text = json_text([{"sender": s.sender, "terms": s.terms} for s in code.symbols])
+    return text + "\n"
 
 
 # ------------------------------------------------------------ JSON text
@@ -161,6 +177,11 @@ def _emit(obj, nl: str) -> str:
             if type(x) is not int:
                 return _emit(sorted(map(_jsonable, obj)), nl)
         return _emit(sorted(obj), nl)
+    if t is LinearIndexCode:
+        inner = nl + "  "
+        text = _symbols_text(obj.symbols, inner)
+        if text is not None:
+            return "{" + inner + '"symbols": ' + text + nl + "}"
     keys = _FIELD_KEYS.get(t)
     if keys is None:
         if isinstance(obj, Enum):
@@ -176,6 +197,38 @@ def _emit(obj, nl: str) -> str:
     inner = nl + "  "
     return ("{" + inner + ("," + inner).join([k + _emit(getattr(obj, f), inner)
                                               for f, k in keys]) + nl + "}")
+
+
+def _symbols_text(symbols, nl: str) -> str | None:
+    """``_emit(symbols, nl)`` for a list of code symbols, in one string
+    build per symbol; None, for the caller to take the generic walk,
+    unless every symbol is a CodeSymbol with a plain int sender and a
+    nonempty tuple of plain-int pairs as terms (a bool or an Enum prints
+    differently from the int it equals)."""
+    if type(symbols) is not tuple and type(symbols) is not list:
+        return None
+    if not symbols:
+        return "[]"
+    i1 = nl + "  "  # a symbol's braces
+    i2 = i1 + "  "  # its fields
+    i3 = i2 + "  "  # a term's brackets
+    i4 = i3 + "  "  # a term's message and bit
+    pair = "[" + i4 + "%d," + i4 + "%d" + i3 + "]"
+    comma = "," + i3
+    sym = "{" + i2 + '"sender": %d,' + i2 + '"terms": [' + i3 + "%s" + i2 + "]" + i1 + "}"
+    out = []
+    for s in symbols:
+        if type(s) is not CodeSymbol:
+            return None
+        sender, terms = s.sender, s.terms
+        if type(sender) is not int or type(terms) is not tuple or not terms:
+            return None
+        for t in terms:
+            if type(t) is not tuple or len(t) != 2 or type(t[0]) is not int \
+                    or type(t[1]) is not int:
+                return None
+        out.append(sym % (sender, comma.join([pair % t for t in terms])))
+    return "[" + i1 + ("," + i1).join(out) + nl + "]"
 
 
 def load_code(path: str) -> LinearIndexCode:
@@ -233,6 +286,9 @@ class Gf2Basis:
 
     def __init__(self, rows=()):
         self.rows: dict[int, int] = {}  # pivot bit position -> reduced row
+        # OR of every vector inserted, reduced: each row is an XOR of
+        # these, so a bit outside the mask is in no row
+        self._mask = 0
         for r in rows:
             self.add(r)
 
@@ -252,9 +308,11 @@ class Gf2Basis:
         if vec == 0:
             return False
         pivot = vec.bit_length() - 1
-        for p, row in self.rows.items():
-            if p > pivot and (row >> pivot) & 1:  # lower pivots lie below bit pivot
-                self.rows[p] = row ^ vec
+        if (self._mask >> pivot) & 1:
+            for p, row in self.rows.items():
+                if p > pivot and (row >> pivot) & 1:  # lower pivots lie below bit pivot
+                    self.rows[p] = row ^ vec
+        self._mask |= vec
         self.rows[pivot] = vec
         return True
 
@@ -272,6 +330,7 @@ class Gf2Basis:
     def copy(self) -> Gf2Basis:
         b = Gf2Basis()
         b.rows = dict(self.rows)
+        b._mask = self._mask
         return b
 
 

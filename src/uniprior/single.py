@@ -37,6 +37,7 @@ class SingleSolution:
     lower_bound: int
     code: LinearIndexCode
     trace: PruneTrace
+    arithmetic: tuple[int, int, int]  # total, leaf weight, per-SCC minimum sum
 
 
 def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
@@ -100,10 +101,11 @@ def solve_single(inst: Instance) -> SingleSolution:
         raise NotSingleSenderError(
             f"instance has {len(inst.senders)} senders; this solver handles exactly one")
     g = WorkGraph.from_instance(inst)
-    bound = lower_bound_single(g)
+    total, leaf_w, scc_min, bound = solve_arithmetic(g)
     code = encode_single(g)
     _, trace = prune_all(g)
-    return SingleSolution(optimal_length=bound, lower_bound=bound, code=code, trace=trace)
+    return SingleSolution(optimal_length=bound, lower_bound=bound, code=code, trace=trace,
+                          arithmetic=(total, leaf_w, scc_min))
 
 
 def solve_arithmetic(g: WorkGraph) -> tuple[int, int, int, int]:

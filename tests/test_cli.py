@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from uniprior import WorkGraph
 from uniprior.cli import main
 
 EX2 = {"n": 5, "q": [1, 2, 2, 2, 2],
@@ -124,6 +125,23 @@ def test_encode_verify_round_trip(files, capsys):
     status, out, _ = run(capsys, "verify", files["gap"], code_path)
     assert status == 0
     assert out.strip() == "VALID: every receiver decodes all wanted bits"
+
+
+def test_single_sender_commands_build_one_work_graph(files, capsys, monkeypatch):
+    builds = []
+    build = WorkGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkGraph, "__init__", counted)
+    code_path = str(files["dir"] / "ex2.code.json")
+    for argv in (["solve", files["ex2"]], ["solve", files["ex2"], "--format", "json"],
+                 ["encode", files["ex2"], "-o", code_path]):
+        builds.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(builds) == 1, argv
 
 
 def test_verify_invalid_code_exits_2(files, capsys):

@@ -99,6 +99,58 @@ def test_gf2_basis_basics():
     assert not b.add(0)
 
 
+class _UnmaskedBasis:
+    """Gf2Basis without the insertion mask: every add clears the new
+    pivot's bit from every higher row."""
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+
+    def add(self, vec: int) -> bool:
+        for p in sorted(self.rows, reverse=True):
+            if (vec >> p) & 1:
+                vec ^= self.rows[p]
+        if vec == 0:
+            return False
+        pivot = vec.bit_length() - 1
+        for p, row in self.rows.items():
+            if p > pivot and (row >> pivot) & 1:
+                self.rows[p] = row ^ vec
+        self.rows[pivot] = vec
+        return True
+
+    def copy(self) -> _UnmaskedBasis:
+        b = _UnmaskedBasis()
+        b.rows = dict(self.rows)
+        return b
+
+
+def test_gf2_basis_matches_unmasked_reference_across_copies():
+    rng = random.Random("gf2-mask")
+    scans = skips = 0
+    for _ in range(300):
+        bits = rng.randint(1, 12)
+        pairs = [(Gf2Basis(), _UnmaskedBasis())]
+        for _ in range(rng.randint(1, 16)):
+            b, ref = rng.choice(pairs)
+            if rng.random() < 0.3:  # branch: the oracle adds to a copy
+                b, ref = b.copy(), ref.copy()
+                pairs.append((b, ref))
+            # sparse vectors leave bits outside the mask, dense ones clear rows
+            vec = (rng.getrandbits(bits) if rng.random() < 0.5
+                   else 1 << rng.randrange(bits) | 1 << rng.randrange(bits))
+            reduced = b._reduce(vec)
+            if reduced:
+                if (b._mask >> (reduced.bit_length() - 1)) & 1:
+                    scans += 1
+                else:
+                    skips += 1
+            assert b.add(vec) == ref.add(vec)
+            assert b.rows == ref.rows
+            assert b.snapshot() == tuple(sorted(ref.rows.values()))
+    assert scans > 100 and skips > 100
+
+
 @given(st.lists(st.integers(1, 2 ** 8 - 1), max_size=10), st.randoms())
 def test_gf2_basis_snapshot_is_order_independent(vectors, pyrand):
     b1 = Gf2Basis()

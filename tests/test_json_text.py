@@ -4,7 +4,9 @@
 to plain JSON types, then ``json.dumps(..., indent=2, sort_keys=True)``)
 byte for byte: on every document the CLI emits, for every report type
 over seeded instances, and on edge cases.  ``serialize_code`` must equal
-``json.dumps(doc, indent=2) + "\\n"``.
+``json.dumps(doc, indent=2) + "\\n"``.  Both write code symbols through
+one kernel, ``_symbols_text``; it is checked here on codes from every
+producer and on symbols it must hand back to the generic walk.
 
 The file needs only the standard library, so it also runs without
 pytest, under each Python version the package supports:
@@ -21,13 +23,14 @@ import random
 import sys
 import tempfile
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import uniprior.cli as cli
-from uniprior import (LinearIndexCode, WorkGraph, serialize_code, serialize_instance,
-                      solve_single, symbol)
-from uniprior.codes import json_text
+from uniprior import (CodeSymbol, LinearIndexCode, WorkGraph, bound_multi, encode_multi,
+                      find_connecting_trees, oracle_min_linear, parse_code, serialize_code,
+                      serialize_instance, solve_single, symbol)
+from uniprior.codes import _symbols_text, json_text
 
 from generators import rand_code, rand_cyclic, rand_multi, rand_single, rand_triples
 from oracles import reference_emit_json
@@ -38,6 +41,15 @@ REPORTS = ("validate", "solve", "bound", "trace", "oracle", "verify", "encode")
 class Color(Enum):
     RED = "red"
     ONE = 1
+
+
+class Level(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Num(int):
+    pass
 
 
 @dataclass(frozen=True)
@@ -152,6 +164,85 @@ def test_every_report_type_matches_reference():
     assert any(d["command"] == "verify" and not d["valid"] for d in docs)
     for doc in docs:
         assert json_text(doc) == reference_emit_json(doc), doc["command"]
+
+
+def _code_doc(code) -> list:
+    """What serialize_code writes, in plain terms for the reference."""
+    return [{"sender": s.sender, "terms": s.terms} for s in code.symbols]
+
+
+def _produced_codes() -> list[LinearIndexCode]:
+    """Codes from every producer: the single-sender solver, the pairwise
+    code of bound and encode, the oracle, random codes and their parsed
+    files."""
+    rng = random.Random("json-text:producers")
+    codes = []
+    for _ in range(8):
+        codes.append(solve_single(rand_single(rng, n_max=6, q_max=3)).code)
+        for inst in (rand_cyclic(rng, n_max=8), rand_triples(rng, t_max=2)):
+            codes.append(bound_multi(inst).code)
+            codes.append(encode_multi(inst, find_connecting_trees(inst).trees))
+        codes.append(oracle_min_linear(rand_multi(rng, n_max=5), max_bits=8).code)
+        codes.append(rand_code(rng, rand_multi(rng, n_max=6), max_len=8))
+        codes.append(parse_code(serialize_code(codes[-1])))
+    return [c for c in codes if c.symbols]
+
+
+# symbols the kernel must hand to the generic walk
+FALLBACK_SYMBOLS = [
+    CodeSymbol(True, ((1, 1),)),                     # bool sender
+    CodeSymbol(1, ((1, False),)),                    # bool bit
+    CodeSymbol(Level.TWO, ((Level.ONE, Level.TWO),)),  # IntEnum values
+    CodeSymbol(Num(3), ((Num(1), 2),)),              # int subclass
+    CodeSymbol(1, [[1, 2], [3, 1]]),                 # list-typed terms
+    CodeSymbol(1, ([1, 2],)),                        # list-typed pair
+    CodeSymbol(1, ()),                               # empty terms
+    CodeSymbol(1, ((1, 2, 3),)),                     # 3-element term
+    CodeSymbol(1, ((1,), (2, 1))),                   # 1-element term
+    CodeSymbol(1, ((1.0, 2),)),                      # float message
+]
+
+
+def test_kernel_matches_reference_on_produced_codes():
+    codes = _produced_codes()
+    assert len(codes) >= 40
+    for code in codes:
+        assert _symbols_text(code.symbols, "\n") is not None
+        for doc in _wrapped(code):
+            assert json_text(doc) == reference_emit_json(doc), code
+        assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
+
+
+def test_kernel_falls_back_on_symbols_it_cannot_write():
+    plain = symbol(2, (1, 1), (3, 2))
+    cases = [LinearIndexCode(())]
+    for bad in FALLBACK_SYMBOLS:
+        cases += [LinearIndexCode((bad,)), LinearIndexCode((plain, bad, plain))]
+    cases.append(LinearIndexCode([plain, plain]))  # a list of symbols writes as a tuple
+    for code in cases:
+        if code.symbols and type(code.symbols) is tuple:
+            assert _symbols_text(code.symbols, "\n") is None, code
+        for doc in _wrapped(code):
+            assert json_text(doc) == reference_emit_json(doc), code
+        assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
+    assert serialize_code(LinearIndexCode(())) == "[]\n"
+
+
+def test_code_file_round_trip():
+    """parse_code(serialize_code(c)) is c with each symbol's terms
+    sorted and deduplicated, and c itself when they already are."""
+    rng = random.Random("json-text:round-trip")
+    for _ in range(200):
+        symbols = []
+        for _ in range(rng.randint(0, 6)):
+            terms = [(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            terms += rng.sample(terms, rng.randint(0, len(terms)))  # duplicates
+            rng.shuffle(terms)
+            symbols.append(CodeSymbol(rng.randint(1, 4), tuple(terms)))
+        code = LinearIndexCode(tuple(symbols))
+        canonical = LinearIndexCode(tuple(symbol(s.sender, *set(s.terms)) for s in symbols))
+        assert parse_code(serialize_code(code)) == canonical
+        assert parse_code(serialize_code(canonical)) == canonical
 
 
 def test_serialize_code_matches_json_dumps():
