@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import NoReturn
 
 from .graph import WorkGraph
 from .instance import Instance, ParseError
@@ -64,39 +63,27 @@ def parse_code(text: str) -> LinearIndexCode:
     # json.loads builds exact dicts, lists and ints, so type() tests are
     # the isinstance tests, and type() is int keeps true/false out
     symbols = []
-    for sym in doc:
-        if type(sym) is dict and len(sym) == 2:
-            sender = sym.get("sender")
-            terms = sym.get("terms")
-            if type(sender) is int and type(terms) is list and terms:
-                for t in terms:
-                    if type(t) is not list or len(t) != 2 or type(t[0]) is not int \
-                            or type(t[1]) is not int:
-                        break
-                else:
-                    symbols.append(CodeSymbol(sender, tuple(sorted({(m, b) for m, b in terms}))))
-                    continue
-        _symbol_error(len(symbols), sym)
+    for k, sym in enumerate(doc):
+        if type(sym) is not dict or len(sym) != 2 or "sender" not in sym or "terms" not in sym:
+            raise ParseError(f"symbol {k} must be an object with fields sender, terms")
+        sender = sym["sender"]
+        if type(sender) is not int:
+            raise ParseError(f"symbol {k} sender must be an integer")
+        terms = sym["terms"]
+        if type(terms) is not list or not terms:
+            raise ParseError(f"symbol {k} terms must be a nonempty array")
+        for t in terms:
+            if type(t) is not list or len(t) != 2 or type(t[0]) is not int \
+                    or type(t[1]) is not int:
+                raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
+        symbols.append(CodeSymbol(sender, tuple(sorted({(m, b) for m, b in terms}))))
     return LinearIndexCode(symbols=tuple(symbols))
 
 
-def _symbol_error(k: int, sym) -> NoReturn:
-    """Raise the ParseError that names what is wrong with symbol k."""
-    if not isinstance(sym, dict) or set(sym) != {"sender", "terms"}:
-        raise ParseError(f"symbol {k} must be an object with fields sender, terms")
-    if isinstance(sym["sender"], bool) or not isinstance(sym["sender"], int):
-        raise ParseError(f"symbol {k} sender must be an integer")
-    if not isinstance(sym["terms"], list) or not sym["terms"]:
-        raise ParseError(f"symbol {k} terms must be a nonempty array")
-    raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
-
-
 def serialize_code(code: LinearIndexCode) -> str:
-    # keys already sorted, so this is json.dumps(doc, indent=2) + "\n"
-    text = _symbols_text(code.symbols, "\n")
-    if text is None:
-        text = json_text([{"sender": s.sender, "terms": s.terms} for s in code.symbols])
-    return text + "\n"
+    # a symbol writes as {"sender": ..., "terms": ...}, keys sorted, so
+    # this is json.dumps(doc, indent=2) + "\n"
+    return json_text(code.symbols) + "\n"
 
 
 # ------------------------------------------------------------ JSON text
@@ -166,6 +153,19 @@ def _emit(obj, nl: str) -> str:
         d = {str(k): v for k, v in obj.items()}
         return ("{" + inner + ("," + inner).join([_encode_str(k) + ": " + _emit(d[k], inner)
                                                   for k in sorted(d)]) + nl + "}")
+    if t is CodeSymbol:
+        # plain ints: one %-template per symbol and per term pair, the
+        # bytes of the dataclass walk below (which bools and Enums take,
+        # as they print differently from the ints they equal)
+        sender, terms = obj.sender, obj.terms
+        if type(sender) is int and type(terms) is tuple and terms:
+            for p in terms:
+                if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int \
+                        or type(p[1]) is not int:
+                    break
+            else:
+                sym, pair, comma = _SYMBOL_TEMPLATES.get(nl) or _symbol_templates(nl)
+                return sym % (sender, comma.join([pair % p for p in terms]))
     if obj is None:
         return "null"
     if obj is True:
@@ -177,11 +177,6 @@ def _emit(obj, nl: str) -> str:
             if type(x) is not int:
                 return _emit(sorted(map(_jsonable, obj)), nl)
         return _emit(sorted(obj), nl)
-    if t is LinearIndexCode:
-        inner = nl + "  "
-        text = _symbols_text(obj.symbols, inner)
-        if text is not None:
-            return "{" + inner + '"symbols": ' + text + nl + "}"
     keys = _FIELD_KEYS.get(t)
     if keys is None:
         if isinstance(obj, Enum):
@@ -199,36 +194,19 @@ def _emit(obj, nl: str) -> str:
                                               for f, k in keys]) + nl + "}")
 
 
-def _symbols_text(symbols, nl: str) -> str | None:
-    """``_emit(symbols, nl)`` for a list of code symbols, in one string
-    build per symbol; None, for the caller to take the generic walk,
-    unless every symbol is a CodeSymbol with a plain int sender and a
-    nonempty tuple of plain-int pairs as terms (a bool or an Enum prints
-    differently from the int it equals)."""
-    if type(symbols) is not tuple and type(symbols) is not list:
-        return None
-    if not symbols:
-        return "[]"
-    i1 = nl + "  "  # a symbol's braces
-    i2 = i1 + "  "  # its fields
-    i3 = i2 + "  "  # a term's brackets
-    i4 = i3 + "  "  # a term's message and bit
-    pair = "[" + i4 + "%d," + i4 + "%d" + i3 + "]"
-    comma = "," + i3
-    sym = "{" + i2 + '"sender": %d,' + i2 + '"terms": [' + i3 + "%s" + i2 + "]" + i1 + "}"
-    out = []
-    for s in symbols:
-        if type(s) is not CodeSymbol:
-            return None
-        sender, terms = s.sender, s.terms
-        if type(sender) is not int or type(terms) is not tuple or not terms:
-            return None
-        for t in terms:
-            if type(t) is not tuple or len(t) != 2 or type(t[0]) is not int \
-                    or type(t[1]) is not int:
-                return None
-        out.append(sym % (sender, comma.join([pair % t for t in terms])))
-    return "[" + i1 + ("," + i1).join(out) + nl + "]"
+# nl -> the %-templates of a code symbol whose braces start on line nl,
+# of one of its term pairs, and the separator between pairs
+_SYMBOL_TEMPLATES: dict[str, tuple[str, str, str]] = {}
+
+
+def _symbol_templates(nl: str) -> tuple[str, str, str]:
+    i1 = nl + "  "  # the symbol's fields
+    i2 = i1 + "  "  # a term's brackets
+    i3 = i2 + "  "  # a term's message and bit
+    sym = "{" + i1 + '"sender": %d,' + i1 + '"terms": [' + i2 + "%s" + i1 + "]" + nl + "}"
+    pair = "[" + i3 + "%d," + i3 + "%d" + i2 + "]"
+    _SYMBOL_TEMPLATES[nl] = sym, pair, "," + i2
+    return _SYMBOL_TEMPLATES[nl]
 
 
 def load_code(path: str) -> LinearIndexCode:

@@ -4,9 +4,9 @@
 to plain JSON types, then ``json.dumps(..., indent=2, sort_keys=True)``)
 byte for byte: on every document the CLI emits, for every report type
 over seeded instances, and on edge cases.  ``serialize_code`` must equal
-``json.dumps(doc, indent=2) + "\\n"``.  Both write code symbols through
-one kernel, ``_symbols_text``; it is checked here on codes from every
-producer and on symbols it must hand back to the generic walk.
+``json.dumps(doc, indent=2) + "\\n"``.  Both write a code symbol of
+plain ints from %-templates, checked here on codes from every producer,
+and any other symbol through the generic dataclass walk.
 
 The file needs only the standard library, so it also runs without
 pytest, under each Python version the package supports:
@@ -30,7 +30,7 @@ import uniprior.cli as cli
 from uniprior import (CodeSymbol, LinearIndexCode, WorkGraph, bound_multi, encode_multi,
                       find_connecting_trees, oracle_min_linear, parse_code, serialize_code,
                       serialize_instance, solve_single, symbol)
-from uniprior.codes import _symbols_text, json_text
+from uniprior.codes import _FIELD_KEYS, json_text
 
 from generators import rand_code, rand_cyclic, rand_multi, rand_single, rand_triples
 from oracles import reference_emit_json
@@ -188,7 +188,7 @@ def _produced_codes() -> list[LinearIndexCode]:
     return [c for c in codes if c.symbols]
 
 
-# symbols the kernel must hand to the generic walk
+# symbols that must take the generic dataclass walk
 FALLBACK_SYMBOLS = [
     CodeSymbol(True, ((1, 1),)),                     # bool sender
     CodeSymbol(1, ((1, False),)),                    # bool bit
@@ -203,11 +203,19 @@ FALLBACK_SYMBOLS = [
 ]
 
 
+def _takes_generic_walk(code) -> bool:
+    """Whether writing code walks a CodeSymbol as a dataclass: that walk
+    memoizes the type's field keys, the templates do not."""
+    _FIELD_KEYS.pop(CodeSymbol, None)
+    json_text(code)
+    return CodeSymbol in _FIELD_KEYS
+
+
 def test_kernel_matches_reference_on_produced_codes():
     codes = _produced_codes()
     assert len(codes) >= 40
     for code in codes:
-        assert _symbols_text(code.symbols, "\n") is not None
+        assert not _takes_generic_walk(code), code
         for doc in _wrapped(code):
             assert json_text(doc) == reference_emit_json(doc), code
         assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
@@ -220,8 +228,8 @@ def test_kernel_falls_back_on_symbols_it_cannot_write():
         cases += [LinearIndexCode((bad,)), LinearIndexCode((plain, bad, plain))]
     cases.append(LinearIndexCode([plain, plain]))  # a list of symbols writes as a tuple
     for code in cases:
-        if code.symbols and type(code.symbols) is tuple:
-            assert _symbols_text(code.symbols, "\n") is None, code
+        assert _takes_generic_walk(code) == (code != LinearIndexCode([plain, plain])
+                                             and bool(code.symbols)), code
         for doc in _wrapped(code):
             assert json_text(doc) == reference_emit_json(doc), code
         assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
