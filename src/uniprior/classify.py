@@ -9,8 +9,8 @@ raising the optimal codelength, and non-degenerated otherwise.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .graph import (WorkGraph, leaf_cover, leaf_scc_sets, leaf_vertices, predecessors,
@@ -25,19 +25,14 @@ class Kind(str, Enum):
     NON_DEGENERATED = "NonDegenerated"
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
-    s_inside: frozenset[int]
-    s_outside: frozenset[int]
-    v_inside: int
-    target: int
+# s_inside and s_outside: frozensets of vertices; v_inside in s_inside
+# and target in s_outside, the ends of the appended arc
+DegeneracyWitness = namedtuple("DegeneracyWitness", "s_inside s_outside v_inside target")
 
-
-@dataclass(frozen=True)
-class LeafSccClass:
-    kind: Kind
-    disconnected_pair: tuple[int, int] | None = None
-    degeneracy: DegeneracyWitness | None = None
+# kind: a Kind; disconnected_pair (a message-disconnected SCC) and
+# degeneracy (a degenerated one): the evidence, None for other kinds
+LeafSccClass = namedtuple("LeafSccClass", "kind disconnected_pair degeneracy",
+                          defaults=(None, None))
 
 
 def _require_leaf_scc(g: WorkGraph, scc: frozenset[int]) -> None:

@@ -9,12 +9,12 @@ integer XOR elimination.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import product
 
 from .graph import WorkGraph
-from .instance import Instance, ParseError
+from .instance import Instance, ParseError, _Frozen, read_text
 
 
 class MalformedCodeError(ValueError):
@@ -27,15 +27,29 @@ class CapExceededError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CodeSymbol:
-    sender: int  # 1-based index into the instance's sender list
-    terms: tuple[tuple[int, int], ...]  # sorted (message, bit) pairs, 1-based
+# sender: 1-based index into the instance's sender list
+# terms: sorted (message, bit) pairs, 1-based
+CodeSymbol = namedtuple("CodeSymbol", "sender terms")
 
 
-@dataclass(frozen=True)
-class LinearIndexCode:
-    symbols: tuple[CodeSymbol, ...]
+class LinearIndexCode(_Frozen):
+    """A tuple of code symbols; its len() is the symbol count."""
+
+    __slots__ = _fields = ("symbols",)
+
+    def __init__(self, symbols: tuple[CodeSymbol, ...]):
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash((self.symbols,))
+
+    def __repr__(self):
+        return f"LinearIndexCode(symbols={self.symbols!r})"
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -45,10 +59,8 @@ def symbol(sender: int, *terms: tuple[int, int]) -> CodeSymbol:
     return CodeSymbol(sender=sender, terms=tuple(sorted(terms)))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    valid: bool
-    failures: tuple[tuple[int, tuple[int, int]], ...]  # (receiver, wanted (msg, bit))
+# failures: (receiver, wanted (message, bit)) pairs that do not decode
+VerifyReport = namedtuple("VerifyReport", "valid failures")
 
 
 def parse_code(text: str) -> LinearIndexCode:
@@ -98,6 +110,9 @@ def _jsonable(obj):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    fields = _record_fields(obj)
+    if fields is not None:
+        return {f: _jsonable(getattr(obj, f)) for f in fields}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, (frozenset, set)):
@@ -109,9 +124,15 @@ def _jsonable(obj):
             "weight": {str(v): obj.weight[v] for v in obj.vertices},
             "dummies": sorted(obj.dummies),
         }
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f: _jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
     return obj
+
+
+def _record_fields(obj):
+    """The field names of a record, which writes as a JSON object: the
+    package's named tuples and value classes by ``_fields``, any other
+    dataclass by its fields; None for anything else."""
+    fields = getattr(obj, "_fields", None)
+    return getattr(obj, "__dataclass_fields__", None) if fields is None else fields
 
 
 def json_text(obj) -> str:
@@ -122,9 +143,8 @@ def json_text(obj) -> str:
     return _emit(obj, "\n")
 
 
-# dataclass type -> its field names in sorted order, each with the JSON
-# text of its key.  A memo of facts about types, filled on a type's first
-# use: emitting a code walks one dataclass per symbol.
+# record type -> its field names in sorted order, each with the JSON text
+# of its key.  A memo of facts about types, filled on a type's first use.
 _FIELD_KEYS: dict[type, list[tuple[str, str]]] = {}
 
 
@@ -155,7 +175,7 @@ def _emit(obj, nl: str) -> str:
                                                   for k in sorted(d)]) + nl + "}")
     if t is CodeSymbol:
         # plain ints: one %-template per symbol and per term pair, the
-        # bytes of the dataclass walk below (which bools and Enums take,
+        # bytes of the record walk below (which bools and Enums take,
         # as they print differently from the ints they equal)
         sender, terms = obj.sender, obj.terms
         if type(sender) is int and type(terms) is tuple and terms:
@@ -181,12 +201,12 @@ def _emit(obj, nl: str) -> str:
     if keys is None:
         if isinstance(obj, Enum):
             return _emit(obj.value, nl)
-        if isinstance(obj, (dict, list, tuple, frozenset, set, WorkGraph)):
-            return _emit(_jsonable(obj), nl)  # subclasses, and graphs
-        if not hasattr(obj, "__dataclass_fields__"):
+        fields = _record_fields(obj)
+        if fields is None:
+            if isinstance(obj, (dict, list, tuple, frozenset, set, WorkGraph)):
+                return _emit(_jsonable(obj), nl)  # subclasses, and graphs
             return json.dumps(obj)  # float, int and str subclasses; TypeError otherwise
-        keys = _FIELD_KEYS[t] = [(f, _encode_str(f) + ": ")
-                                 for f in sorted(obj.__dataclass_fields__)]
+        keys = _FIELD_KEYS[t] = [(f, _encode_str(f) + ": ") for f in sorted(fields)]
     if not keys:
         return "{}"
     inner = nl + "  "
@@ -210,8 +230,7 @@ def _symbol_templates(nl: str) -> tuple[str, str, str]:
 
 
 def load_code(path: str) -> LinearIndexCode:
-    with open(path) as f:
-        return parse_code(f.read())
+    return parse_code(read_text(path))
 
 
 def bit_layout(inst: Instance) -> tuple[tuple[int, ...], int]:
@@ -231,18 +250,18 @@ def _coord(offsets: tuple[int, ...], msg: int, bit: int) -> int:
 def check_code(inst: Instance, code: LinearIndexCode) -> None:
     """Raise MalformedCodeError unless the code is well-formed for inst."""
     owned_by = [set(s) for s in inst.senders]
-    for k, sym in enumerate(code.symbols):
-        if not 1 <= sym.sender <= len(inst.senders):
-            raise MalformedCodeError(f"symbol {k + 1}: sender {sym.sender} does not exist")
-        owned = owned_by[sym.sender - 1]
-        if not sym.terms:
+    for k, (sender, terms) in enumerate(code.symbols):
+        if not 1 <= sender <= len(inst.senders):
+            raise MalformedCodeError(f"symbol {k + 1}: sender {sender} does not exist")
+        owned = owned_by[sender - 1]
+        if not terms:
             raise MalformedCodeError(f"symbol {k + 1}: empty term list")
-        for (msg, bit) in sym.terms:
+        for (msg, bit) in terms:
             if not 1 <= msg <= inst.n:
                 raise MalformedCodeError(f"symbol {k + 1}: message {msg} out of range")
             if msg not in owned:
                 raise MalformedCodeError(
-                    f"symbol {k + 1}: message {msg} not in sender {sym.sender}'s set")
+                    f"symbol {k + 1}: message {msg} not in sender {sender}'s set")
             if not 1 <= bit <= inst.q[msg - 1]:
                 raise MalformedCodeError(
                     f"symbol {k + 1}: bit {bit} out of range for message {msg}")
@@ -251,9 +270,9 @@ def check_code(inst: Instance, code: LinearIndexCode) -> None:
 def symbol_vectors(inst: Instance, code: LinearIndexCode) -> list[int]:
     offsets, _ = bit_layout(inst)
     vecs = []
-    for sym in code.symbols:
+    for _, terms in code.symbols:
         v = 0
-        for (msg, bit) in sym.terms:
+        for (msg, bit) in terms:
             v ^= 1 << _coord(offsets, msg, bit)
         vecs.append(v)
     return vecs
@@ -397,12 +416,7 @@ def verify_exhaustive(inst: Instance, code: LinearIndexCode, cap: int = 20) -> V
     return VerifyReport(valid=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    length: int
-    code: LinearIndexCode
-    exact: bool
-    note: str = ""
+OracleResult = namedtuple("OracleResult", "length code exact note", defaults=("",))
 
 
 def _trivial_upper_code(inst: Instance) -> LinearIndexCode:

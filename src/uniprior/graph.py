@@ -21,7 +21,7 @@ graph, so no chain of graphs stays alive.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .instance import Instance
 
@@ -154,10 +154,11 @@ class WorkGraph:
                 f"arcs={sorted(self.arcs)}, dummies={sorted(self.dummies)})")
 
 
-@dataclass(frozen=True)
-class SccPartition:
-    components: tuple[frozenset[int], ...]
-    leaf_flags: tuple[bool, ...]
+class SccPartition(namedtuple("SccPartition", "components leaf_flags")):
+    """The strongly connected components, each a frozenset, and whether
+    each is a leaf SCC."""
+
+    __slots__ = ()
 
     def leaf_components(self) -> list[frozenset[int]]:
         return [c for c, f in zip(self.components, self.leaf_flags) if f]

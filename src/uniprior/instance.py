@@ -9,7 +9,7 @@ messages; together the senders own all of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
 
 
@@ -17,43 +17,93 @@ class ParseError(ValueError):
     """Raised when an instance or code document is structurally bad."""
 
 
-@dataclass(frozen=True)
-class Instance:
-    n: int
-    q: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
-    senders: tuple[tuple[int, ...], ...]
-    # Ingestion notes (deduplication etc.); not part of instance identity.
-    notes: tuple[str, ...] = field(default=(), compare=False, repr=False)
+class _Frozen:
+    """Refuses assignment to its attributes: ``__init__`` and the memos
+    write through ``object.__setattr__``.  ``_fields`` names what the
+    constructor takes, in order, which is also what copies and pickles
+    carry and what the JSON writer prints."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Instance(_Frozen):
+    """n, the message lengths q, the arcs (i, j) and the senders' message
+    tuples.  ``notes`` records ingestion (deduplication etc.) and is not
+    part of the instance's identity: equality, hash and repr leave it out.
+    The instance's work graph and message graph are kept on it on first
+    use (``multi._graphs``)."""
+
+    __slots__ = ("n", "q", "arcs", "senders", "notes", "_graphs")
+    _fields = ("n", "q", "arcs", "senders", "notes")
+
+    def __init__(self, n: int, q: tuple[int, ...], arcs: tuple[tuple[int, int], ...],
+                 senders: tuple[tuple[int, ...], ...], notes: tuple[str, ...] = ()):
+        for name, value in zip(self.__slots__, (n, q, arcs, senders, notes, None)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.n, self.q, self.arcs, self.senders
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Instance(n={self.n!r}, q={self.q!r}, arcs={self.arcs!r}, "
+                f"senders={self.senders!r})")
 
     def wants(self, receiver: int) -> list[int]:
         """Messages wanted by a receiver, ascending."""
         return sorted(i for (i, j) in self.arcs if j == receiver)
 
 
-@dataclass(frozen=True)
-class MessageGraph:
+class MessageGraph(_Frozen):
     """Undirected graph with an edge {i, j} when some sender owns both.
 
-    The adjacency is built once, on construction, and the components on
-    their first query; neither is a dataclass field, so equality,
-    hashing and repr still see n and the edges only.  Neither is the
-    memo of leaf-SCC message classes that ``classify.message_class``
-    keeps here.
+    Equality, hashing and repr see n and the edges only.  The hash is
+    taken once, on construction, since ``(graph, leaf SCC)`` pairs key
+    the memo of semi leaf-SCC classes.  The adjacency is built on
+    construction and the components on their first query; the memo of
+    leaf-SCC message classes that ``classify.message_class`` keeps here
+    starts empty.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]  # stored as (min, max) pairs
+    __slots__ = ("n", "edges", "_hash", "_adj", "_comps", "_comp_of", "_scc_classes")
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for (a, b) in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        # edges are stored as (min, max) pairs
+        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        for (a, b) in edges:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_comps", None)
-        object.__setattr__(self, "_comp_of", None)
-        object.__setattr__(self, "_scc_classes", {})
+        for name, value in zip(self.__slots__,
+                               (n, edges, hash((n, edges)), adj, None, None, {})):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"MessageGraph(n={self.n!r}, edges={self.edges!r})"
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -108,11 +158,8 @@ class MessageGraph:
         return self._comp_of[v]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-    notes: tuple[str, ...] = ()
+# ok: no violations; violations and notes: messages, in the order found
+ValidationReport = namedtuple("ValidationReport", "ok violations notes", defaults=((),))
 
 
 _REQUIRED_FIELDS = ("n", "q", "arcs", "senders")
@@ -213,9 +260,18 @@ def serialize_instance(inst: Instance) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def read_text(path: str) -> str:
+    """A file's text, decoded as UTF-8.  ParseError names the byte offset
+    of the first byte that is not UTF-8 (a UTF-16 file fails at once)."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not UTF-8 text at byte offset {e.start}: {e.reason}") from e
+
+
 def load_instance(path: str) -> Instance:
-    with open(path) as f:
-        return parse_instance(f.read())
+    return parse_instance(read_text(path))
 
 
 def validate(inst: Instance) -> ValidationReport:

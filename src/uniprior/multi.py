@@ -15,12 +15,12 @@ which is where pruning preserves optimality vertex-by-vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import chain, islice
 
-from .classify import (DegeneracyWitness, Kind, LeafSccClass, classify_leaf_scc,
-                       find_degeneracy_witness, message_class, witness_options)
+from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
+                       message_class, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
 from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, reach, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
@@ -43,57 +43,22 @@ class TightReason(str, Enum):
     BOUNDS_COINCIDE = "BoundsCoincide"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    kind: StepKind
-    scc: frozenset[int]
-    phase: str  # "init" or "iteration"
-    selected_vertex: int | None = None
-    added_arc: tuple[int, int] | None = None
-    dummy: int | None = None
-    witness: DegeneracyWitness | None = None
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    bound: int
-    v_out_original: int
-    connected_count: int
-    iterations: int
-    steps: tuple[StepRecord, ...]
-    final_graph: WorkGraph
-
-
-@dataclass(frozen=True)
-class ExhaustiveResult:
-    bound: int
-    exact: bool
-    states_visited: int
-
-
-@dataclass(frozen=True)
-class ConnectingTree:
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class TreeSearchResult:
-    trees: tuple[ConnectingTree, ...]
-    exact: bool
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    lower: int
-    upper: int
-    tight: bool
-    tight_reason: TightReason | None
-    lower_report: LowerBoundReport
-    exhaustive: ExhaustiveResult | None
-    trees: tuple[ConnectingTree, ...]
-    trees_exact: bool
-    code: LinearIndexCode
+# one step on a leaf SCC: phase is "init" or "iteration"; a prune sets
+# selected_vertex, an append added_arc and, for a disconnected SCC, the
+# dummy vertex, for a degenerated one the witness
+StepRecord = namedtuple("StepRecord",
+                        "kind scc phase selected_vertex added_arc dummy witness",
+                        defaults=(None, None, None, None))
+LowerBoundReport = namedtuple("LowerBoundReport", "bound v_out_original connected_count "
+                              "iterations steps final_graph")
+ExhaustiveResult = namedtuple("ExhaustiveResult", "bound exact states_visited")
+# vertices: frozenset; edges: frozenset of (a, b) message-graph edges, a < b
+ConnectingTree = namedtuple("ConnectingTree", "vertices edges")
+TreeSearchResult = namedtuple("TreeSearchResult", "trees exact")
+# tight_reason: a TightReason, None unless tight; exhaustive: None
+# unless asked for
+BoundReport = namedtuple("BoundReport", "lower upper tight tight_reason lower_report "
+                         "exhaustive trees trees_exact code")
 
 
 def _require_binary(inst: Instance) -> None:
@@ -103,9 +68,9 @@ def _require_binary(inst: Instance) -> None:
 
 def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
     """The instance's work graph and message graph, built on first use and
-    kept on the instance (not as a dataclass field), so that the steps of
-    one bound share them.  Graphs are values, so sharing them is safe."""
-    graphs = inst.__dict__.get("_graphs")
+    kept on the instance (outside its value), so that the steps of one
+    bound share them.  Graphs are values, so sharing them is safe."""
+    graphs = inst._graphs
     if graphs is None:
         graphs = (WorkGraph.from_instance(inst), derive_message_graph(inst))
         object.__setattr__(inst, "_graphs", graphs)

@@ -8,7 +8,7 @@ a predecessor bound on a grounded graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .codes import CodeSymbol, LinearIndexCode
 from .graph import WorkGraph, leaf_scc_sets, leaf_vertices
@@ -19,25 +19,12 @@ class NotSingleSenderError(ValueError):
     """solve_single only handles one sender; use the multi-sender bounds."""
 
 
-@dataclass(frozen=True)
-class PruneStep:
-    scc: frozenset[int]
-    vertex: int
-    removed_arcs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class PruneTrace:
-    steps: tuple[PruneStep, ...]
-
-
-@dataclass(frozen=True)
-class SingleSolution:
-    optimal_length: int
-    lower_bound: int
-    code: LinearIndexCode
-    trace: PruneTrace
-    arithmetic: tuple[int, int, int]  # total, leaf weight, per-SCC minimum sum
+# one pruning: the leaf SCC, its pruned vertex and that vertex's out-arcs
+PruneStep = namedtuple("PruneStep", "scc vertex removed_arcs")
+PruneTrace = namedtuple("PruneTrace", "steps")
+# arithmetic: total weight, leaf weight, per-SCC minimum sum
+SingleSolution = namedtuple("SingleSolution",
+                            "optimal_length lower_bound code trace arithmetic")
 
 
 def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:

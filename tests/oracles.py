@@ -323,6 +323,8 @@ def _reference_jsonable(obj):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): _reference_jsonable(v) for k, v in obj.items()}
+    if hasattr(obj, "_fields"):  # the package's named tuples and value classes
+        return {f: _reference_jsonable(getattr(obj, f)) for f in obj._fields}
     if isinstance(obj, (list, tuple)):
         return [_reference_jsonable(x) for x in obj]
     if isinstance(obj, (frozenset, set)):

@@ -4,7 +4,8 @@ Seeded malformed, adversarial and oversized instance and code documents
 go to each subcommand, in process, in both output formats.  Every call
 must return an exit code in {0, 1, 2, 3}, raise nothing, write no
 traceback, print one JSON document (or nothing) under ``--format json``,
-and return within ``BUDGET_S``.
+and return within ``BUDGET_S``.  Files whose bytes are not UTF-8 end in
+exit 1 with one ``error:`` line (``validate``: its usual report).
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ CODE_DOCS = [
 ]
 
 
+# files written byte for byte: a UTF-16 byte-order mark (which Windows
+# PowerShell 5's ``>`` writes) before UTF-8 text, a lone continuation
+# byte, and UTF-16 copies of valid documents
+NOT_UTF8 = {
+    "ff-fe-prefix": lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
+    "lone-0x80": lambda doc: b"\x80",
+    "utf-16": lambda doc: json.dumps(doc).encode("utf-16"),
+}
+
+
 def _mutate(rng: random.Random, doc) -> str:
     """doc with one seeded fault: a value or list item replaced by junk,
     a field dropped or added, or the text cut short."""
@@ -125,15 +136,20 @@ def _check(argv: list[str]) -> None:
             json.loads(out)
 
 
+def _subcommands(tmp_path) -> list[list[str]]:
+    """Every subcommand on tmp_path's inst.json (and code.json)."""
+    inst, code, out = (str(tmp_path / name) for name in ("inst.json", "code.json", "out.json"))
+    return [["validate", inst], ["solve", inst], ["bound", inst],
+            ["bound", inst, "--exhaustive", "--max-states", "50"], ["trace", inst],
+            ["oracle", inst], ["encode", inst, "-o", out], ["verify", inst, code]]
+
+
 @_params(INSTANCE_DOCS, BASE, 40, "contract:instance")
 def test_instance_documents_end_in_an_exit_code(tmp_path, text):
-    inst, code, out = tmp_path / "inst.json", tmp_path / "code.json", tmp_path / "out.json"
-    inst.write_text(text)
-    code.write_text(json.dumps(BASE_CODE))
-    for argv in (["validate"], ["solve"], ["bound"],
-                 ["bound", "--exhaustive", "--max-states", "50"], ["trace"], ["oracle"],
-                 ["encode", "-o", str(out)], ["verify", None]):
-        _check([argv[0], str(inst)] + [str(code) if a is None else a for a in argv[1:]])
+    (tmp_path / "inst.json").write_text(text)
+    (tmp_path / "code.json").write_text(json.dumps(BASE_CODE))
+    for argv in _subcommands(tmp_path):
+        _check(argv)
 
 
 @_params(CODE_DOCS, BASE_CODE, 40, "contract:code")
@@ -142,6 +158,59 @@ def test_code_documents_end_in_an_exit_code(tmp_path, text):
     inst.write_text(json.dumps(BASE))
     code.write_text(text)
     _check(["verify", str(inst), str(code)])
+
+
+def _check_not_utf8(argv: list[str], bad_file: str) -> None:
+    """The contract, then exit 1 naming the file and the byte offset: one
+    error line, or validate's report."""
+    _check(argv)
+    for fmt in ("text", "json"):
+        status, out, err, _ = _call([*argv, "--format", fmt])
+        assert status == 1, (argv, fmt, status)
+        if argv[0] != "validate":
+            assert out == "" and err.count("\n") == 1, (argv, fmt, out, err)
+            assert err.startswith(f"error: {bad_file}: not UTF-8 text at byte offset "), err
+        elif fmt == "json":
+            doc = json.loads(out)
+            assert (doc["ok"], doc["notes"], len(doc["violations"])) == (False, [], 1), doc
+            assert doc["violations"][0].startswith("not UTF-8 text at byte offset "), doc
+        else:
+            assert out.startswith("INVALID: not UTF-8 text at byte offset "), out
+
+
+@pytest.mark.parametrize("encode", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_instance_files_not_in_utf8_end_in_exit_1(tmp_path, encode):
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(encode(BASE))
+    (tmp_path / "code.json").write_text(json.dumps(BASE_CODE))
+    for argv in _subcommands(tmp_path):
+        _check_not_utf8(argv, str(inst))
+
+
+@pytest.mark.parametrize("encode", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_code_files_not_in_utf8_end_in_exit_1(tmp_path, encode):
+    inst, code = tmp_path / "inst.json", tmp_path / "code.json"
+    inst.write_text(json.dumps(BASE))
+    code.write_bytes(encode(BASE_CODE))
+    _check_not_utf8(["verify", str(inst), str(code)], str(code))
+
+
+def test_not_utf8_error_names_the_byte_offset(tmp_path):
+    inst = tmp_path / "inst.json"
+    text = json.dumps(dict(BASE, pad="x" * 20_000)).encode()
+    inst.write_bytes(text[:12_345] + b"\xff" + text[12_345:])
+    status, out, err, _ = _call(["solve", str(inst)])
+    assert (status, out) == (1, "")
+    assert err == f"error: {inst}: not UTF-8 text at byte offset 12345: invalid start byte\n"
+
+
+def test_utf8_byte_order_mark_stays_a_parse_error(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(b"\xef\xbb\xbf" + json.dumps(BASE).encode())
+    for argv in _subcommands(tmp_path):
+        status, _, err, _ = _call(argv)
+        assert status == 1, argv
+    assert "Unexpected UTF-8 BOM" in err
 
 
 def test_huge_n_validate_report_is_bounded(tmp_path):

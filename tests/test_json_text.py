@@ -6,7 +6,7 @@ byte for byte: on every document the CLI emits, for every report type
 over seeded instances, and on edge cases.  ``serialize_code`` must equal
 ``json.dumps(doc, indent=2) + "\\n"``.  Both write a code symbol of
 plain ints from %-templates, checked here on codes from every producer,
-and any other symbol through the generic dataclass walk.
+and any other symbol through the generic record walk.
 
 The file needs only the standard library, so it also runs without
 pytest, under each Python version the package supports:
@@ -27,9 +27,10 @@ from enum import Enum, IntEnum
 from pathlib import Path
 
 import uniprior.cli as cli
-from uniprior import (CodeSymbol, LinearIndexCode, WorkGraph, bound_multi, encode_multi,
-                      find_connecting_trees, oracle_min_linear, parse_code, serialize_code,
-                      serialize_instance, solve_single, symbol)
+from uniprior import (CodeSymbol, ExhaustiveResult, Instance, LinearIndexCode, MessageGraph,
+                      WorkGraph, bound_multi, encode_multi, find_connecting_trees,
+                      oracle_min_linear, parse_code, serialize_code, serialize_instance,
+                      solve_single, symbol)
 from uniprior.codes import _FIELD_KEYS, json_text
 
 from generators import rand_code, rand_cyclic, rand_multi, rand_single, rand_triples
@@ -82,9 +83,13 @@ EDGE_CASES = [
     -1, 0, 2 ** 64 + 1, -(2 ** 70), [2 ** 64, -3, 7],
     {1: "a", 10: "b", 2: "c"}, {1: "int", "1": "str"}, {True: 1, None: 2, "x": 3},
     {"é": 1, "a": {"b": [[], {}]}, "\x00": "nul"},
-    # graphs with dummies, dataclasses, codes
+    # graphs with dummies, dataclasses (records the package does not define), codes
     _dummy_graph(), Empty(), Pair(zeta=[1, (2, 3)], alpha=Color.ONE),
     symbol(1, (2, 1), (1, 1)), LinearIndexCode(()),
+    # named tuples and value classes write as objects of their fields
+    ExhaustiveResult(bound=3, exact=True, states_visited=7),
+    Instance(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),), notes=("é",)),
+    MessageGraph(n=3, edges=frozenset({(1, 2), (2, 3)})),
     # floats take the standard library's own formatting
     1.5, -2.5e300, float("inf"), [0.1, 2],
 ]
@@ -188,7 +193,7 @@ def _produced_codes() -> list[LinearIndexCode]:
     return [c for c in codes if c.symbols]
 
 
-# symbols that must take the generic dataclass walk
+# symbols that must take the generic record walk
 FALLBACK_SYMBOLS = [
     CodeSymbol(True, ((1, 1),)),                     # bool sender
     CodeSymbol(1, ((1, False),)),                    # bool bit
@@ -204,7 +209,7 @@ FALLBACK_SYMBOLS = [
 
 
 def _takes_generic_walk(code) -> bool:
-    """Whether writing code walks a CodeSymbol as a dataclass: that walk
+    """Whether writing code walks a CodeSymbol as a record: that walk
     memoizes the type's field keys, the templates do not."""
     _FIELD_KEYS.pop(CodeSymbol, None)
     json_text(code)

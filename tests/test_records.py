@@ -2,7 +2,7 @@
 
 Every public value type builds by keyword and by position, with its
 defaults; compares and hashes by value; refuses assignment to a field;
-and prints the repr pinned below.  ``Instance`` equality ignores its
+copies and pickles; and prints the repr pinned below.  ``Instance`` equality ignores its
 ingestion notes, and ``len`` of a ``LinearIndexCode`` is its symbol
 count.  A fresh interpreter that imports ``uniprior.cli`` loads neither
 ``dataclasses``, ``inspect`` nor ``typing``: the command-line start-up
@@ -16,6 +16,8 @@ pytest:
 
 from __future__ import annotations
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -208,6 +210,15 @@ def test_fields_are_read_only():
                     continue
                 raise AssertionError(f"{cls.__name__}.{name} is writable")
             assert getattr(record, name) is fields[name]
+
+
+def test_copies_and_pickles_are_equal():
+    for cls, fields, _ in CASES:
+        record = cls(**fields)
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record, cls
+            assert [getattr(twin, name) for name in fields] == list(fields.values()), cls
 
 
 def test_repr_is_pinned():
