@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from .graph import (WorkGraph, leaf_cover, leaf_scc_sets, leaf_vertices, predecessors,
+from .graph import (WorkGraph, _leaf_sccs, leaf_cover, leaf_vertices, predecessors,
                     reach)
 from .instance import MessageGraph
 
@@ -36,7 +36,7 @@ LeafSccClass = namedtuple("LeafSccClass", "kind disconnected_pair degeneracy",
 
 
 def _require_leaf_scc(g: WorkGraph, scc: frozenset[int]) -> None:
-    if scc not in leaf_scc_sets(g):
+    if scc not in _leaf_sccs(g):
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
 
 

@@ -27,6 +27,13 @@ class CliError(Exception):
         self.status = status
 
 
+def _printable(message) -> str:
+    """message with each lone surrogate (a JSON "\\ud800" escape, or a
+    file-name byte that is not UTF-8) as a backslash escape, so that a
+    UTF-8 stream can write it."""
+    return str(message).encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _emit_json(doc: dict) -> None:
     print(json_text(doc))
 
@@ -63,7 +70,7 @@ def _cmd_validate(args) -> int:
             _emit_json({"command": "validate", "ok": False, "violations": [str(e)],
                         "notes": []})
         else:
-            print(f"INVALID: {e}")
+            print(f"INVALID: {_printable(e)}")
         return EXIT_INVALID
     report = validate(inst)
     if args.format == "json":
@@ -311,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_printable(e)}", file=sys.stderr)
         return e.status
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import product
 
 from .graph import WorkGraph
-from .instance import Instance, ParseError, _Frozen, read_text
+from .instance import Instance, ParseError, _Frozen, parse_json, read_text
 
 
 class MalformedCodeError(ValueError):
@@ -64,12 +64,7 @@ VerifyReport = namedtuple("VerifyReport", "valid failures")
 
 
 def parse_code(text: str) -> LinearIndexCode:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except RecursionError as e:
-        raise ParseError("JSON nested too deeply") from e
+    doc = parse_json(text)
     if type(doc) is not list:
         raise ParseError("code document must be a JSON array of symbols")
     # json.loads builds exact dicts, lists and ints, so type() tests are

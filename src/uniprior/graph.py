@@ -6,16 +6,28 @@ Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
 
 Because graphs are values, derived structure is stored on the graph on
-first use: the SCC partition, the leaf set, the leaf cover the witness
-search starts from, and each vertex's predecessors and forward reach.
-A graph made from another by one step (``with_arc``,
-``without_out_arcs``, ``with_new_dummy``) is not rebuilt: it patches
-its parent's adjacency and checks only the new arc.  If the parent's
-SCC partition was computed when the step was taken, the child keeps
-that partition and the step, and on first query inherits its own
-partition by a local update (``_child_partition``): one step changes
-only the SCC of the vertex it touches.  A child never holds its parent
-graph, so no chain of graphs stays alive.
+first use: the leaf SCCs, the SCC partition, the leaf set, the leaf
+cover the witness search starts from, and each vertex's predecessors and
+forward reach.  A graph made from another by one step (``with_arc``,
+``without_out_arcs``, ``with_new_dummy``) patches its parent's adjacency
+and checks only the new arc.  If the parent's leaf SCCs (SCCs of >= 2
+vertices that no arc leaves) were known, the child keeps them and the
+step, and derives its own from them with no Tarjan run.  Let C be the
+SCC of the step's source vertex a:
+- prune of a: C is no leaf SCC any more, and no new one appears.  A
+  path between two vertices of another SCC never passed through a (a
+  would belong to that SCC), so only C can split.  No part of C is a
+  leaf: a strongly connected S within C, S != C, |S| >= 2, had an arc
+  into C minus S, and that arc's source is not a, which is now a sink.
+- new dummy d under a: C gains an arc out, and d is a singleton.
+- new arc (a, b): inside C nothing changes.  If b does not reach a, C
+  gains an arc out.  Otherwise the vertices on paths from b to a join C
+  in one SCC M.  C is the only leaf SCC M can contain (a leaf SCC
+  reaches nothing outside itself, and all of M reaches a), and M is a
+  leaf SCC if no arc leaves it.
+Every other SCC keeps its vertices and out-arcs, hence whether it is a
+leaf.  A child never holds its parent graph, so no chain of graphs stays
+alive.
 """
 
 from __future__ import annotations
@@ -64,13 +76,14 @@ class WorkGraph:
         # Derived structure, filled on first query (see the module
         # docstring); _classes holds semi leaf-SCC classes for Algorithm 2.
         self._scc: SccPartition | None = None
+        self._leaf_sets: tuple[frozenset[int], ...] | None = None
         self._leaves: frozenset[int] | None = None
         self._cover: tuple | None = None
         self._preds: dict[int, frozenset[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
         self._classes: dict = {}
-        # (parent's partition, step) until this graph's partition is derived
-        self._base: tuple[SccPartition, tuple | None] | None = base
+        # (parent's leaf SCCs, step) until this graph's leaf SCCs are derived
+        self._base: tuple[tuple, tuple | None] | None = base
 
     def _child(self, step: tuple | None, arcs, out, inn, vertices=None, weight=None,
                dummies=None) -> WorkGraph:
@@ -82,7 +95,7 @@ class WorkGraph:
         g.weight = self.weight if weight is None else weight
         g.dummies = self.dummies if dummies is None else dummies
         g._out, g._in = out, inn
-        g._init_derived(None if self._scc is None else (self._scc, step))
+        g._init_derived(None if self._leaf_sets is None else (self._leaf_sets, step))
         return g
 
     @classmethod
@@ -165,12 +178,15 @@ class SccPartition(namedtuple("SccPartition", "components leaf_flags")):
 
 
 def scc_partition(g: WorkGraph) -> SccPartition:
-    """Tarjan's algorithm, iterative, or the parent's partition updated
-    by one step.  Components are listed by smallest contained vertex so
-    traces are reproducible."""
+    """Tarjan's algorithm, iterative, run once per graph on first query.
+    Components are listed by smallest contained vertex so traces are
+    reproducible.  Exact for any graph; the leaf SCCs of a graph derived
+    by one step come from its parent's instead (``leaf_scc_sets``)."""
     if g._scc is None:
-        g._scc = _tarjan(g) if g._base is None else _child_partition(g, *g._base)
-        g._base = None
+        comps = _strong_components(g._out, g.vertices)
+        comps.sort(key=min)
+        g._scc = SccPartition(components=tuple(comps),
+                              leaf_flags=tuple(_is_leaf(g, c) for c in comps))
     return g._scc
 
 
@@ -178,51 +194,19 @@ def _is_leaf(g: WorkGraph, comp: frozenset[int]) -> bool:
     return len(comp) >= 2 and all(w in comp for v in comp for w in g._out[v])
 
 
-def _tarjan(g: WorkGraph) -> SccPartition:
-    comps = _strong_components(g._out, g.vertices)
-    comps.sort(key=min)
-    return SccPartition(components=tuple(comps),
-                        leaf_flags=tuple(_is_leaf(g, c) for c in comps))
-
-
-def _child_partition(g: WorkGraph, parent: SccPartition, step: tuple | None) -> SccPartition:
-    """g's partition from the partition of the graph one step before it.
-
-    Only the SCC C of the step's source vertex a can change:
-    - prune of a: a path between two vertices of another SCC never
-      passes through a (a would belong to that SCC), so only C can
-      split; Tarjan runs on C's arcs alone.  No part of C is a leaf: a
-      strongly connected S within C, S != C, |S| >= 2, had an arc into
-      C minus S, and that arc's source is not a, which is now a sink.
-    - new arc (a, b): inside C nothing changes.  Across SCCs, C stops
-      being a leaf unless b reaches a; then every vertex on a path from
-      b to a joins one SCC with C.
-    - new dummy d under a: d is a singleton listed last (it is the
-      largest vertex), and C stops being a leaf.
-    Every other SCC keeps its vertices and out-arcs, hence its flag.
-    """
+def _child_leaf_sccs(g: WorkGraph, parent: tuple, step: tuple | None) -> tuple:
+    """g's leaf SCCs from those of the graph one step before it, by the
+    rules in the module docstring."""
     if step is None:
         return parent
-    kind, a = step[0], step[1]
-    pairs = list(zip(parent.components, parent.leaf_flags))
-    k = next(k for k, (c, _) in enumerate(pairs) if a in c)
-    comp = pairs[k][0]
-    if kind == "prune":
-        del pairs[k]
-        out = {v: tuple(w for w in g._out[v] if w in comp) for v in comp}
-        for c in _strong_components(out, sorted(comp)):
-            insort(pairs, (c, False), key=_pair_min)
-    elif kind == "dummy":
-        pairs[k] = (comp, False)
-        pairs.append((frozenset((step[2],)), False))
-    else:
+    a = step[1]
+    k = next((k for k, c in enumerate(parent) if a in c), None)
+    if step[0] == "arc":
         b = step[2]
-        if b in comp:
+        if k is not None and b in parent[k]:
             return parent
         fwd = reach(g, b)
-        if a not in fwd:
-            pairs[k] = (comp, False)
-        else:
+        if a in fwd:
             # the vertices reachable from b that reach a
             merged = {a}
             stack = [a]
@@ -232,14 +216,11 @@ def _child_partition(g: WorkGraph, parent: SccPartition, step: tuple | None) -> 
                         merged.add(x)
                         stack.append(x)
             merged = frozenset(merged)
-            pairs = [p for p in pairs if not p[0] <= merged]
-            insort(pairs, (merged, _is_leaf(g, merged)), key=_pair_min)
-    return SccPartition(components=tuple(c for c, _ in pairs),
-                        leaf_flags=tuple(f for _, f in pairs))
-
-
-def _pair_min(pair) -> int:
-    return min(pair[0])
+            if _is_leaf(g, merged):
+                leafs = [c for c in parent if a not in c]
+                insort(leafs, merged, key=min)
+                return tuple(leafs)
+    return parent if k is None else parent[:k] + parent[k + 1:]
 
 
 def _strong_components(out, roots) -> list[frozenset[int]]:
@@ -293,7 +274,22 @@ def _strong_components(out, roots) -> list[frozenset[int]]:
 
 
 def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
-    return scc_partition(g).leaf_components()
+    """The leaf SCCs by smallest contained vertex, as a new list.  A root
+    graph reads them from its SCC partition; a graph one step from a graph
+    whose leaf SCCs were known updates its parent's by the three rules of
+    the module docstring, with no Tarjan run."""
+    return list(_leaf_sccs(g))
+
+
+def _leaf_sccs(g: WorkGraph) -> tuple[frozenset[int], ...]:
+    """leaf_scc_sets without the copy, computed once per graph."""
+    if g._leaf_sets is None:
+        if g._base is None:
+            g._leaf_sets = tuple(scc_partition(g).leaf_components())
+        else:
+            g._leaf_sets = _child_leaf_sccs(g, *g._base)
+            g._base = None
+    return g._leaf_sets
 
 
 def leaf_vertices(g: WorkGraph) -> frozenset[int]:

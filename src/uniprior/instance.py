@@ -175,18 +175,28 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def parse_json(text: str):
+    """json.loads, with ParseError for bad syntax, nesting past the
+    recursion limit and an integer past Python's digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
+    except ValueError as e:
+        # "Exceeds the limit (4300 digits) for integer string conversion: ..."
+        msg = str(e).split(";")[0]
+        raise ParseError(f"integer literal too long: {msg[:1].lower()}{msg[1:]}") from e
+
+
 def parse_instance(text: str) -> Instance:
     """Decode an instance document.  Syntax only; semantics live in validate().
 
     Duplicate arcs, duplicate senders, and repeated members within one
     sender are dropped, each leaving a note on the returned Instance.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except RecursionError as e:
-        raise ParseError("JSON nested too deeply") from e
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError(f"instance document must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - set(_REQUIRED_FIELDS))

@@ -22,7 +22,7 @@ from itertools import chain, islice
 from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
                        message_class, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices, reach, v_out
+from .graph import WorkGraph, _leaf_sccs, leaf_vertices, reach, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -143,10 +143,10 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
 # ------------------------------------------------------- Algorithm 2
 
 def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
-    """The first leaf SCC of g, in partition order, of the given kind.
+    """The first leaf SCC of g, by smallest vertex, of the given kind.
     Only a scan for a degenerated SCC searches for witnesses, and only on
     semi SCCs."""
-    for scc in leaf_scc_sets(g):
+    for scc in _leaf_sccs(g):
         cls = message_class(u, scc)[0]
         if cls is None and kind is Kind.DEGENERATED:
             cls = _class_of(g, u, scc)
@@ -171,7 +171,7 @@ def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
 
 
 def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
-                        sccs: list[frozenset[int]]) -> frozenset[int]:
+                        sccs: tuple[frozenset[int], ...]) -> frozenset[int]:
     """One-step lookahead: prune the candidate that degenerates the most
     other currently non-degenerated leaf SCCs; ties go to the smallest
     vertex id."""
@@ -219,7 +219,7 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
 
     iterations = 0
     while True:
-        sccs = leaf_scc_sets(g)
+        sccs = _leaf_sccs(g)
         if not sccs:
             break
         iterations += 1
@@ -254,7 +254,7 @@ def _child_score(g: WorkGraph, key, vo: int, nleaf: int, kind: StepKind, x):
     - prune of x in C: x becomes a leaf and no part of C is a leaf SCC,
       since each other vertex of C still reaches x, now a sink;
     - witness append (a, b): C stops being a leaf unless b reaches a; then
-      b's side merges into C, and the child's partition says whether the
+      b's side merges into C, and the child's leaf SCCs say whether the
       merged SCC is a leaf.
     """
     real, sources = key
@@ -266,7 +266,7 @@ def _child_score(g: WorkGraph, key, vo: int, nleaf: int, kind: StepKind, x):
         if a not in reach(g, b):
             return key, vo, nleaf - 1, None
         child = _apply(g, kind, x)
-        return key, vo, len(leaf_scc_sets(child)), child
+        return key, vo, len(_leaf_sccs(child)), child
     # x's out-arcs lie inside its leaf SCC, so none goes to a dummy
     return (real.difference([(x, w) for w in g.out_neighbors(x)]), sources), \
         vo - 1, nleaf - 1, None
@@ -317,12 +317,12 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
         states += 1
         if g is None:
             g = _apply(parent, *step)
-        steps = chain.from_iterable(_steps(g, u, scc) for scc in leaf_scc_sets(g))
+        steps = chain.from_iterable(_steps(g, u, scc) for scc in _leaf_sccs(g))
         stack.append([g, key, vo, nleaf, steps, 0])
         return None
 
     # an instance's graph has no dummies
-    val = enter((g0.arcs, frozenset()), v_out(g0), len(leaf_scc_sets(g0)), g0)
+    val = enter((g0.arcs, frozenset()), v_out(g0), len(_leaf_sccs(g0)), g0)
     while stack:
         frame = stack[-1]
         step = next(frame[4], None)
@@ -342,7 +342,7 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
 # ------------------------------------------------- connecting trees
 
 def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
-    return [scc for scc in leaf_scc_sets(g)
+    return [scc for scc in _leaf_sccs(g)
             if (cls := message_class(u, scc)[0]) is not None
             and cls.kind is Kind.MESSAGE_CONNECTED]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, leaf_scc_sets, leaf_vertices
+from .graph import WorkGraph, _leaf_sccs, leaf_vertices
 from .instance import Instance
 
 
@@ -34,7 +34,7 @@ def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
         raise ValueError("prune_all expects a graph without dummy vertices")
     steps = []
     while True:
-        leafs = leaf_scc_sets(g)
+        leafs = _leaf_sccs(g)
         if not leafs:
             break
         scc = leafs[0]
@@ -61,7 +61,7 @@ def encode_single(g: WorkGraph) -> LinearIndexCode:
     """
     symbols: list[CodeSymbol] = []
     in_scc: set[int] = set()
-    for scc in leaf_scc_sets(g):
+    for scc in _leaf_sccs(g):
         vs = sorted(scc)
         in_scc |= scc
         q_min = min(g.weight[v] for v in vs)
@@ -100,7 +100,7 @@ def solve_arithmetic(g: WorkGraph) -> tuple[int, int, int, int]:
     display: total - leaf weight - per-SCC minimum sum."""
     total = sum(g.weight[v] for v in g.vertices)
     leaf_w = sum(g.weight[v] for v in leaf_vertices(g))
-    scc_min = sum(min(g.weight[v] for v in scc) for scc in leaf_scc_sets(g))
+    scc_min = sum(min(g.weight[v] for v in scc) for scc in _leaf_sccs(g))
     return total, leaf_w, scc_min, total - leaf_w - scc_min
 
 

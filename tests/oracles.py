@@ -8,6 +8,7 @@ sizes, which is exactly what pins the fast implementations down.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from enum import Enum
 from itertools import chain, combinations
 
@@ -18,7 +19,8 @@ from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
                             _coord, _receivers, _residues, _trivial_upper_code,
                             symbol_vectors)
-from uniprior.graph import leaf_scc_sets, reach, v_out
+from uniprior.graph import (SccPartition, _is_leaf, _strong_components, leaf_scc_sets, reach,
+                            v_out)
 from uniprior.multi import (ConnectingTree, ExhaustiveResult, TreeSearchResult, _apply,
                             _graphs, _is_tree_vertex_set, _message_connected_leaf_sccs,
                             _require_binary, _steps)
@@ -62,6 +64,58 @@ def brute_leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
         if all(w in comp for v in comp for w in g.out_neighbors(v)):
             out.append(comp)
     return out
+
+
+def reference_child_partition(g: WorkGraph, parent: SccPartition,
+                              step: tuple | None) -> SccPartition:
+    """g's full SCC partition from the partition of the graph one step
+    before it; step is ("prune", a), ("dummy", a, d), ("arc", a, b), or
+    None when g equals its parent.
+
+    Only the SCC C of the step's source vertex a can change:
+    - prune of a: only C can split; Tarjan runs on C's arcs alone, and no
+      part of C is a leaf.
+    - new arc (a, b): inside C nothing changes.  Across SCCs, C stops
+      being a leaf unless b reaches a; then every vertex on a path from
+      b to a joins one SCC with C.
+    - new dummy d under a: d is a singleton listed last (it is the
+      largest vertex), and C stops being a leaf.
+    """
+    if step is None:
+        return parent
+    kind, a = step[0], step[1]
+    pairs = list(zip(parent.components, parent.leaf_flags))
+    k = next(k for k, (c, _) in enumerate(pairs) if a in c)
+    comp = pairs[k][0]
+    if kind == "prune":
+        del pairs[k]
+        out = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
+        for c in _strong_components(out, sorted(comp)):
+            insort(pairs, (c, False), key=lambda pair: min(pair[0]))
+    elif kind == "dummy":
+        pairs[k] = (comp, False)
+        pairs.append((frozenset((step[2],)), False))
+    else:
+        b = step[2]
+        if b in comp:
+            return parent
+        fwd = reach(g, b)
+        if a not in fwd:
+            pairs[k] = (comp, False)
+        else:
+            # the vertices reachable from b that reach a
+            merged = {a}
+            stack = [a]
+            while stack:
+                for x in g.in_neighbors(stack.pop()):
+                    if x in fwd and x not in merged:
+                        merged.add(x)
+                        stack.append(x)
+            merged = frozenset(merged)
+            pairs = [p for p in pairs if not p[0] <= merged]
+            insort(pairs, (merged, _is_leaf(g, merged)), key=lambda pair: min(pair[0]))
+    return SccPartition(components=tuple(c for c, _ in pairs),
+                        leaf_flags=tuple(f for _, f in pairs))
 
 
 def brute_is_grounded(g: WorkGraph) -> bool:

@@ -3,8 +3,9 @@
 Seeded malformed, adversarial and oversized instance and code documents
 go to each subcommand, in process, in both output formats.  Every call
 must return an exit code in {0, 1, 2, 3}, raise nothing, write no
-traceback, print one JSON document (or nothing) under ``--format json``,
-and return within ``BUDGET_S``.  Files whose bytes are not UTF-8 end in
+traceback, write only text that encodes as strict UTF-8, print one JSON
+document (or nothing) under ``--format json``, and return within
+``BUDGET_S``.  Files whose bytes are not UTF-8 end in
 exit 1 with one ``error:`` line (``validate``: its usual report).
 """
 
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -31,6 +33,13 @@ BASE_CODE = [{"sender": 3, "terms": [[3, 1], [4, 1]]}, {"sender": 1, "terms": [[
 # a 50-byte file whose n alone once made validate list three million
 # unowned messages
 HUGE_N = '{"n": 3000000, "q": [], "arcs": [], "senders": [[1]]}'
+
+# Python refuses to convert an integer literal past 4 300 digits
+LONG_INT = "9" * 5000
+LONG_N = HUGE_N.replace("3000000", LONG_INT)
+# a field name that decodes to a lone surrogate, which strict UTF-8
+# cannot encode
+SURROGATE_FIELD = json.dumps(dict(BASE, **{"\ud800": 1}))
 
 JUNK = (True, False, None, "x", "é", 1.5, -1, 0, 10 ** 30, [], {}, [[]], [True], {"é": 1})
 
@@ -52,6 +61,7 @@ INSTANCE_DOCS = [
     json.dumps(dict(BASE, é=1)), json.dumps(dict(BASE, **{"ключ": "значение"})),
     json.dumps({k: v for k, v in BASE.items() if k != "arcs"}),
     _base(senders=[list(range(1, 5))] * 200),
+    LONG_N, SURROGATE_FIELD,
 ]
 
 CODE_DOCS = [
@@ -67,6 +77,7 @@ CODE_DOCS = [
     json.dumps([{"sender": 1, "terms": [[1, 1]], "é": 1}]),
     json.dumps([{"sender": 10 ** 30, "terms": [[10 ** 30, 1]]}]),
     json.dumps(BASE_CODE * 5000),
+    '[{"sender": %s, "terms": [[1, 1]]}]' % LONG_INT,
 ]
 
 
@@ -131,6 +142,9 @@ def _check(argv: list[str]) -> None:
         status, out, err, seconds = _call([*argv, "--format", fmt])
         assert status in (0, 1, 2, 3), (argv, status)
         assert "Traceback" not in err, (argv, err)
+        # a real UTF-8 stdout or stderr takes only what encodes; StringIO
+        # takes anything
+        out.encode("utf-8"), err.encode("utf-8")
         assert seconds < BUDGET_S, (argv, seconds)
         if fmt == "json" and out:
             json.loads(out)
@@ -223,3 +237,32 @@ def test_huge_n_validate_report_is_bounded(tmp_path):
     assert violations[0] == "q has 0 entries, expected n = 3000000"
     assert violations[1:21] == [f"message {m} unowned by any sender" for m in range(2, 22)]
     assert violations[21:] == ["... and 2999979 more unowned messages"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no integer digit limit")
+def test_long_integer_literals_are_parse_errors(tmp_path):
+    inst, code = tmp_path / "inst.json", tmp_path / "code.json"
+    inst.write_text(LONG_N)
+    code.write_text(json.dumps(BASE_CODE))
+    message = ("integer literal too long: exceeds the limit (4300 digits) for integer "
+               "string conversion: value has 5000 digits")
+    for argv in _subcommands(tmp_path)[1:]:
+        assert _call(argv)[:3] == (1, "", f"error: {inst}: {message}\n"), argv
+    assert _call(["validate", str(inst)])[:3] == (1, f"INVALID: {message}\n", "")
+    status, out, _, _ = _call(["validate", str(inst), "--format", "json"])
+    assert (status, json.loads(out)["violations"]) == (1, [message])
+    inst.write_text(json.dumps(BASE))
+    code.write_text('[{"sender": %s, "terms": [[1, 1]]}]' % LONG_INT)
+    assert _call(["verify", str(inst), str(code)])[:3] == (1, "", f"error: {code}: {message}\n")
+
+
+def test_surrogate_field_name_is_escaped_in_text(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(SURROGATE_FIELD)
+    assert _call(["validate", str(inst)])[:3] == (1, "INVALID: unknown field(s): \\ud800\n", "")
+    assert _call(["solve", str(inst)])[:3] == (
+        1, "", f"error: {inst}: unknown field(s): \\ud800\n")
+    # JSON output keeps its own escape of the field name
+    status, out, _, _ = _call(["validate", str(inst), "--format", "json"])
+    assert (status, json.loads(out)["violations"]) == (1, ["unknown field(s): \ud800"])

@@ -9,11 +9,14 @@ import pytest
 
 from uniprior import (WorkGraph, is_grounded, leaf_scc_sets, leaf_vertices,
                       predecessor_weight_bound, predecessors, reach,
-                      scc_partition, v_out)
+                      scc_partition, serialize_instance, v_out)
+from uniprior import graph
+from uniprior.cli import main
 
-from generators import make_instance, rand_graph
+from generators import make_instance, rand_cyclic, rand_graph, rand_single
 from oracles import (brute_is_grounded, brute_leaf_scc_sets,
-                     brute_predecessors, brute_reach, brute_sccs)
+                     brute_predecessors, brute_reach, brute_sccs,
+                     reference_child_partition)
 
 EX2_GRAPH = WorkGraph.from_instance(make_instance(
     5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
@@ -301,6 +304,113 @@ def test_derivation_chains_answer_like_fresh_graphs():
     assert set(seen) == {"arc-duplicate", "arc-inside", "arc-merging", "arc-non-merging",
                          "prune-leaf-scc", "prune-non-leaf", "prune-arcless", "dummy"}
     assert min(inherited.values()) >= 25, inherited
+
+
+def _chain_cases(g):
+    """_step_cases with finer cases, by brute force: an arc inside a leaf
+    or a non-leaf SCC, a merging arc whose merged SCC is a leaf or not,
+    and a dummy under a leaf-SCC vertex or another one."""
+    leaf = {v for c in brute_leaf_scc_sets(g) for v in c}
+    fwd = brute_reach(g)
+    cases: dict[str, list] = {}
+    for case, steps in _step_cases(g).items():
+        for step in steps:
+            a, fine = step[1], case
+            if case == "arc-inside":
+                fine = "arc-inside-leaf" if a in leaf else "arc-inside-non-leaf"
+            elif case == "arc-merging":
+                # the child's SCC of a: a, and what b reaches that reaches a
+                b = step[2]
+                merged = {a} | {v for v in fwd[b] | {b} if a in fwd[v]}
+                closed = all(w in merged for v in merged for w in g.out_neighbors(v))
+                fine = "arc-merging-leaf" if closed else "arc-merging"
+            elif case == "dummy":
+                fine = "dummy-leaf-scc" if a in leaf else "dummy-other"
+            cases.setdefault(fine, []).append(step)
+    return cases
+
+
+def _recorded_step(g, step):
+    """step as the reference partition update takes it: None when the
+    child equals g, a dummy with its new vertex."""
+    if step[0] == "arc":
+        return None if step[1:] in g.arcs else step
+    if step[0] == "prune":
+        return step if g.out_neighbors(step[1]) else None
+    return step + (max(g.vertices) + 1,)
+
+
+def test_inherited_leaf_sccs_match_brute_force_and_reference_partition():
+    # seeded chains of prunes, arcs and dummies: each child derives its
+    # leaf SCCs from its parent's, while the reference carries the full
+    # partition along the same chain
+    rng = random.Random(43)
+    seen: Counter = Counter()
+    for _ in range(400):
+        g = rand_graph(rng, rng.randint(2, 9))
+        part = scc_partition(g)
+        assert leaf_scc_sets(g) == part.leaf_components() == brute_leaf_scc_sets(g)
+        for _ in range(12):
+            cases = _chain_cases(g)
+            case = rng.choice(sorted(cases))
+            step = rng.choice(cases[case])
+            child = _apply(g, step)
+            assert child._base is not None
+            part = reference_child_partition(child, part, _recorded_step(g, step))
+            assert list(part.components) == brute_sccs(child)
+            leafs = leaf_scc_sets(child)
+            assert leafs == brute_leaf_scc_sets(child) == part.leaf_components()
+            if case == "arc-merging-leaf":
+                # a non-leaf SCC merged into a new leaf SCC
+                assert any(step[1] in c and step[2] in c for c in leafs)
+            seen[case] += 1
+            g = child
+    assert set(seen) == {"arc-duplicate", "arc-inside-leaf", "arc-inside-non-leaf",
+                         "arc-merging", "arc-merging-leaf", "arc-non-merging",
+                         "prune-leaf-scc", "prune-non-leaf", "prune-arcless",
+                         "dummy-leaf-scc", "dummy-other"}
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cli_runs_tarjan_once_per_root_graph(tmp_path, monkeypatch, capsys):
+    # bound, bound --exhaustive and solve build one graph from the instance
+    # and derive every other graph state from it: Tarjan runs once, on the
+    # built graph's adjacency, and never on a derived graph
+    built, runs, derived = [], [], []
+    init, tarjan, child = WorkGraph.__init__, graph._strong_components, WorkGraph._child
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counted_tarjan(out, roots):
+        runs.append(out)
+        return tarjan(out, roots)
+
+    def counted_child(self, *args, **kwargs):
+        derived.append(self)
+        return child(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkGraph, "__init__", counted_init)
+    monkeypatch.setattr(WorkGraph, "_child", counted_child)
+    monkeypatch.setattr(graph, "_strong_components", counted_tarjan)
+    rng = random.Random(47)
+    path = tmp_path / "inst.json"
+    children = 0
+    for _ in range(30):
+        multi, single = rand_cyclic(rng, n_max=10), rand_single(rng, n_max=8, q_max=3)
+        for inst, commands in [(multi, (["bound"], ["bound", "--exhaustive"])),
+                               (single, (["solve"],))]:
+            path.write_text(serialize_instance(inst))
+            for command in commands:
+                for log in (built, runs, derived):
+                    log.clear()
+                assert main([command[0], str(path), *command[1:]]) in (0, 3)
+                assert len(built) == 1
+                assert [id(out) for out in runs] == [id(built[0]._out)]
+                children += len(derived)
+    capsys.readouterr()
+    assert children > 500, children
 
 
 def test_incremental_steps_raise_the_constructors_errors():
