@@ -83,7 +83,9 @@ def parse_code(text: str) -> LinearIndexCode:
             if type(t) is not list or len(t) != 2 or type(t[0]) is not int \
                     or type(t[1]) is not int:
                 raise ParseError(f"symbol {k} terms must be [message, bit] integer pairs")
-        symbols.append(CodeSymbol(sender, tuple(sorted({(m, b) for m, b in terms}))))
+        # a file's terms are a set: a repeated pair is read once
+        symbols.append(CodeSymbol(sender, (tuple(terms[0]),) if len(terms) == 1
+                                  else tuple(sorted(set(map(tuple, terms))))))
     return LinearIndexCode(symbols=tuple(symbols))
 
 
@@ -242,35 +244,49 @@ def _coord(offsets: tuple[int, ...], msg: int, bit: int) -> int:
     return offsets[msg - 1] + (bit - 1)
 
 
-def check_code(inst: Instance, code: LinearIndexCode) -> None:
-    """Raise MalformedCodeError unless the code is well-formed for inst."""
+def _checked_vectors(inst: Instance, code: LinearIndexCode) -> tuple[list[int], set[int]]:
+    """Each symbol's vector and the set of coordinates the code touches,
+    in one pass that raises MalformedCodeError at the first symbol that
+    is not well-formed for inst."""
+    offsets, _ = bit_layout(inst)
+    n, q, n_senders = inst.n, inst.q, len(inst.senders)
     owned_by = [set(s) for s in inst.senders]
-    for k, (sender, terms) in enumerate(code.symbols):
-        if not 1 <= sender <= len(inst.senders):
-            raise MalformedCodeError(f"symbol {k + 1}: sender {sender} does not exist")
+    vecs = []
+    touched: set[int] = set()
+    for k, (sender, terms) in enumerate(code.symbols, start=1):
+        if not 1 <= sender <= n_senders:
+            raise MalformedCodeError(f"symbol {k}: sender {sender} does not exist")
         owned = owned_by[sender - 1]
         if not terms:
-            raise MalformedCodeError(f"symbol {k + 1}: empty term list")
+            raise MalformedCodeError(f"symbol {k}: empty term list")
+        v = 0
         for (msg, bit) in terms:
-            if not 1 <= msg <= inst.n:
-                raise MalformedCodeError(f"symbol {k + 1}: message {msg} out of range")
+            if not 1 <= msg <= n:
+                raise MalformedCodeError(f"symbol {k}: message {msg} out of range")
             if msg not in owned:
-                raise MalformedCodeError(
-                    f"symbol {k + 1}: message {msg} not in sender {sender}'s set")
-            if not 1 <= bit <= inst.q[msg - 1]:
-                raise MalformedCodeError(
-                    f"symbol {k + 1}: bit {bit} out of range for message {msg}")
+                raise MalformedCodeError(f"symbol {k}: message {msg} not in sender {sender}'s set")
+            if not 1 <= bit <= q[msg - 1]:
+                raise MalformedCodeError(f"symbol {k}: bit {bit} out of range for message {msg}")
+            c = offsets[msg - 1] + bit - 1
+            v ^= 1 << c
+            touched.add(c)
+        # a repeated term cancels in the XOR, so the symbol would not be
+        # the set of terms its code file holds
+        if v.bit_count() != len(terms):
+            msg, bit = next(t for i, t in enumerate(terms) if t in terms[:i])
+            raise MalformedCodeError(f"symbol {k}: term [{msg}, {bit}] repeated")
+        vecs.append(v)
+    return vecs, touched
+
+
+def check_code(inst: Instance, code: LinearIndexCode) -> None:
+    """Raise MalformedCodeError unless the code is well-formed for inst."""
+    _checked_vectors(inst, code)
 
 
 def symbol_vectors(inst: Instance, code: LinearIndexCode) -> list[int]:
-    offsets, _ = bit_layout(inst)
-    vecs = []
-    for _, terms in code.symbols:
-        v = 0
-        for (msg, bit) in terms:
-            v ^= 1 << _coord(offsets, msg, bit)
-        vecs.append(v)
-    return vecs
+    """Each symbol's bit vector; MalformedCodeError as ``check_code``."""
+    return _checked_vectors(inst, code)[0]
 
 
 class Gf2Basis:
@@ -341,33 +357,60 @@ def _receivers(inst: Instance, offsets: tuple[int, ...]) -> list[tuple]:
     return out
 
 
-def _residues(rows: dict[int, int], own: range, wanted: list[int]) -> list[int]:
-    """What a receiver knowing the coordinates `own` still lacks of each
-    wanted coordinate, given the code's RREF `rows`: 0 iff it decodes.
-
-    Deleting the own columns (keep = ~own) leaves a row pivoted outside
-    them the only one with its pivot bit, so it fixes that coefficient:
-    e_c lies in the projected row space iff t_c = (rows[c] ^ e_c) & keep
-    (rows[c] = 0 if c is no pivot) lies in the span K of the <= q_r rows
-    pivoted inside own.  The residues are the t_c reduced by K; their rank
-    is the rank deficit.
-    """
-    keep = ~(((1 << len(own)) - 1) << own.start)
-    k = Gf2Basis(rows[p] & keep for p in own if p in rows)
-    return [k._reduce((rows.get(c, 0) ^ (1 << c)) & keep) for c in wanted]
-
-
 def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
     """Rank criterion: receiver r decodes bit (j, b) iff its unit vector
     lies in the span of the code symbols plus r's own message bits.
 
-    One elimination of the code, then a <= q_r-row step per receiver."""
-    check_code(inst, code)
+    One elimination of the code to its RREF ``rows``.  Deleting r's own
+    columns (keep = ~own) leaves a row pivoted outside them the only one
+    with its pivot bit, so it fixes that coefficient: e_c lies in the
+    projected row space iff t_c & keep lies in the span K of the <= q_r
+    rows pivoted inside own, where t_c = rows[c] ^ e_c (rows[c] = 0 if c
+    is no pivot).  A c with t_c = 0 decodes at every receiver, and a c
+    that no symbol touches is in no row of the span, so it decodes at
+    none: both are settled once per wanted message, the second with no
+    big-integer work.  The rest take one reduction by K per receiver, and
+    K is built by leading-bit elimination only for a receiver that has
+    such a bit to test."""
+    vecs, touched = _checked_vectors(inst, code)
+    rows = Gf2Basis(vecs).rows
     offsets, _ = bit_layout(inst)
-    rows = Gf2Basis(symbol_vectors(inst, code)).rows
+    q = inst.q
+    # wanted message -> its (bit, t_c) with t_c != 0, t_c None if untouched
+    open_bits: dict[int, list[tuple[int, int | None]]] = {}
+    for m in {i for (i, _) in inst.arcs}:
+        bits = open_bits[m] = []
+        base = offsets[m - 1] - 1
+        for c in range(base + 1, base + 1 + q[m - 1]):
+            if c not in touched:
+                bits.append((c - base, None))
+                continue
+            t = rows.get(c, 0) ^ (1 << c)
+            if t:
+                bits.append((c - base, t))
     failures = []
-    for r, own, wanted, coords in _receivers(inst, offsets):
-        failures.extend((r, w) for w, res in zip(wanted, _residues(rows, own, coords)) if res)
+    r = lead = keep = None
+    for (rcv, m) in sorted((j, i) for (i, j) in inst.arcs):
+        bits = open_bits[m]
+        if not bits or m == rcv:  # a receiver knows its own bits
+            continue
+        if rcv != r:
+            r = rcv
+            start = offsets[r - 1]
+            keep = ~(((1 << q[r - 1]) - 1) << start)
+            lead = {}
+            _extend(lead, [rows[p] & keep for p in range(start, start + q[r - 1]) if p in rows])
+        for b, t in bits:
+            if t is not None:
+                t &= keep
+                while t:
+                    row = lead.get(t.bit_length() - 1)
+                    if row is None:
+                        break
+                    t ^= row
+                if not t:
+                    continue
+            failures.append((r, (m, b)))
     return VerifyReport(valid=not failures, failures=tuple(failures))
 
 
@@ -377,11 +420,10 @@ def verify_exhaustive(inst: Instance, code: LinearIndexCode, cap: int = 20) -> V
 
     Exponential in the total bit count B; refuses to run past the cap.
     """
-    check_code(inst, code)
+    vecs = symbol_vectors(inst, code)
     offsets, total = bit_layout(inst)
     if total > cap:
         raise CapExceededError(f"total bits {total} exceeds cap {cap}")
-    vecs = symbol_vectors(inst, code)
 
     codewords = []
     for x in range(1 << total):
@@ -466,9 +508,10 @@ def _extend(lead: dict[int, int], vecs) -> int:
 
 
 def _deficit(rows: dict[int, int], own: range, wanted: list[int]) -> int:
-    """Rank of ``_residues(rows, own, wanted)`` without building a basis:
-    the residues are the t_c reduced by K, so their rank is
-    rank(K u T) - rank(K) for T the t_c, and one elimination gives both."""
+    """The rank deficit of a receiver knowing the coordinates ``own`` on
+    the ``wanted`` ones: the rank of the t_c & keep of ``verify_linear``
+    reduced by K, which is rank(K u T) - rank(K) for T those t_c, so one
+    elimination gives both."""
     keep = ~(((1 << len(own)) - 1) << own.start)
     lead: dict[int, int] = {}
     k = _extend(lead, [rows[p] & keep for p in own if p in rows])

@@ -17,8 +17,7 @@ from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
                       check_code, leaf_vertices, predecessors,
                       verify_exhaustive)
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
-                            _coord, _receivers, _residues, _trivial_upper_code,
-                            symbol_vectors)
+                            _coord, _receivers, _trivial_upper_code, symbol_vectors)
 from uniprior.graph import (SccPartition, _is_leaf, _strong_components, leaf_scc_sets, reach,
                             v_out)
 from uniprior.multi import (ConnectingTree, ExhaustiveResult, TreeSearchResult, _apply,
@@ -272,6 +271,22 @@ def _receiver_units(inst: Instance, offsets: tuple[int, ...], r: int) -> list[in
 
 def _wanted_bits(inst: Instance, r: int) -> list[tuple[int, int]]:
     return [(j, b) for j in inst.wants(r) for b in range(1, inst.q[j - 1] + 1)]
+
+
+def _residues(rows: dict[int, int], own: range, wanted: list[int]) -> list[int]:
+    """What a receiver knowing the coordinates `own` still lacks of each
+    wanted coordinate, given the code's RREF `rows`: 0 iff it decodes.
+
+    Deleting the own columns (keep = ~own) leaves a row pivoted outside
+    them the only one with its pivot bit, so it fixes that coefficient:
+    e_c lies in the projected row space iff t_c = (rows[c] ^ e_c) & keep
+    (rows[c] = 0 if c is no pivot) lies in the span K of the <= q_r rows
+    pivoted inside own.  The residues are the t_c reduced by K; their rank
+    is the rank deficit.
+    """
+    keep = ~(((1 << len(own)) - 1) << own.start)
+    k = Gf2Basis(rows[p] & keep for p in own if p in rows)
+    return [k._reduce((rows.get(c, 0) ^ (1 << c)) & keep) for c in wanted]
 
 
 def reference_verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:

@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uniprior import (CapExceededError, Gf2Basis, LinearIndexCode,
+from uniprior import (CapExceededError, Gf2Basis, Instance, LinearIndexCode,
                       MalformedCodeError, ParseError, bit_layout, check_code, load_code,
                       oracle_min_linear, parse_code, serialize_code, solve_single,
                       symbol, verify_exhaustive, verify_linear)
 
 from generators import (make_instance, rand_arcs, rand_code, rand_multi,
                         rand_senders, rand_single)
-from oracles import brute_min_linear, reference_oracle_min_linear, reference_verify_linear
-from uniprior.codes import _closed_demands, _deficit, _residues, symbol_vectors
+from oracles import (_residues, brute_min_linear, reference_oracle_min_linear,
+                     reference_verify_linear)
+from uniprior.codes import _closed_demands, _deficit, symbol_vectors
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -280,6 +282,118 @@ def test_verify_linear_matches_reference_on_deleted_optimal_symbols():
         rep = verify_linear(inst, short)
         assert not rep.valid
         assert rep == reference_verify_linear(inst, short)
+
+
+def test_repeated_term_is_malformed():
+    # x1[1] ^ x1[1] cancels to the zero vector, so a Python-built symbol
+    # that repeats a term is not the term set its code file holds
+    inst = Instance(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),))
+    code = LinearIndexCode((symbol(1, (1, 1), (1, 1)),))
+    for check in (check_code, verify_linear, verify_exhaustive):
+        with pytest.raises(MalformedCodeError) as e:
+            check(inst, code)
+        assert str(e.value) == "symbol 1: term [1, 1] repeated"
+    # a code file's terms are a set, so the file reads back as x1[1]
+    assert verify_linear(inst, parse_code(serialize_code(code))).valid
+    # the checks run symbol by symbol, all of a symbol's terms before the
+    # repeat test: a bad term after the repeat raises first, a later bad
+    # symbol does not
+    with pytest.raises(MalformedCodeError, match=r"^symbol 1: bit 2 out of range"):
+        check_code(inst, LinearIndexCode((symbol(1, (1, 1), (1, 1), (1, 2)),)))
+    with pytest.raises(MalformedCodeError, match=r"^symbol 1: term \[1, 1\] repeated$"):
+        check_code(inst, LinearIndexCode((code.symbols[0], symbol(3, (1, 1)))))
+
+
+def _single_verify_codes(rng):
+    """Instances shaped like the single-verify benchmark pool (one
+    sender, n 36-52, q 1-3, about 3n arcs), each with its optimal code,
+    that code minus its last symbol, and minus a few random symbols."""
+    for _ in range(12):
+        n = rng.randint(36, 52)
+        inst = make_instance(n, rand_arcs(rng, n, 3.0 / (n - 1)), [list(range(1, n + 1))],
+                             [rng.randint(1, 3) for _ in range(n)])
+        syms = solve_single(inst).code.symbols
+        drop = set(rng.sample(range(len(syms)), rng.randint(2, 5)))
+        for kept in (syms, syms[:-1], tuple(s for k, s in enumerate(syms) if k not in drop)):
+            yield inst, LinearIndexCode(kept)
+
+
+def _untouched_codes(rng):
+    """Weighted multi-sender instances with a valid code from which
+    every symbol touching some wanted bits is dropped."""
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        inst = make_instance(n, rand_arcs(rng, n, rng.uniform(0.2, 0.6)), rand_senders(rng, n),
+                             [rng.randint(1, 3) for _ in range(n)])
+        wanted = sorted({(i, b) for (i, _) in inst.arcs for b in range(1, inst.q[i - 1] + 1)})
+        if not wanted:
+            continue
+        gone = set(rng.sample(wanted, rng.randint(1, min(3, len(wanted)))))
+        syms = _mixed_valid_code(rng, inst).symbols
+        yield inst, LinearIndexCode(tuple(s for s in syms if gone.isdisjoint(s.terms)))
+
+
+def _dependent_codes(rng):
+    """Valid codes with dependent symbols added (copies of a symbol, and
+    XORs of two symbols of one sender), then with some original symbols
+    dropped."""
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        inst = make_instance(n, rand_arcs(rng, n, rng.uniform(0.2, 0.6)), rand_senders(rng, n),
+                             [rng.randint(1, 3) for _ in range(n)])
+        syms = list(_mixed_valid_code(rng, inst).symbols)
+        if not syms:
+            continue
+        extra = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(syms), rng.choice(syms)
+            terms = set(a.terms) ^ set(b.terms) if a.sender == b.sender else set(a.terms)
+            extra.append(symbol(a.sender, *(terms or a.terms)))
+        yield inst, LinearIndexCode(tuple(syms + extra))
+        k = rng.randint(1, len(syms))
+        yield inst, LinearIndexCode(tuple(rng.sample(syms, len(syms) - k) + extra))
+
+
+@pytest.mark.parametrize("family", [_single_verify_codes, _untouched_codes, _dependent_codes],
+                         ids=["single-verify", "untouched", "dependent"])
+def test_verify_linear_matches_reference_and_exhaustive(family):
+    """The same report as the per-receiver reference, failures in the
+    same order, and as the definition wherever B <= 12."""
+    rng = random.Random(family.__name__)
+    seen = {"valid": 0, "invalid": 0, "exhaustive": 0, "untouched": 0, "touched": 0}
+    for inst, code in family(rng):
+        rep = verify_linear(inst, code)
+        assert rep == reference_verify_linear(inst, code)
+        if bit_layout(inst)[1] <= 12:
+            assert rep == verify_exhaustive(inst, code)
+            seen["exhaustive"] += 1
+        seen["valid" if rep.valid else "invalid"] += 1
+        touched = {t for s in code.symbols for t in s.terms}
+        # codes failing on a bit no symbol touches, and on a touched bit
+        seen["untouched"] += any(w not in touched for _, w in rep.failures)
+        seen["touched"] += any(w in touched for _, w in rep.failures)
+    assert seen["invalid"] >= 20
+    if family is _single_verify_codes:
+        assert seen["valid"] == 12
+    else:
+        assert seen["exhaustive"] >= 80
+    if family is _untouched_codes:
+        assert seen["untouched"] >= 80
+    if family is _dependent_codes:
+        assert seen["valid"] >= 80 and seen["touched"] >= 10
+
+
+def test_verify_linear_cost_follows_the_code_not_the_message_length():
+    # one symbol x1[1]; the 149 999 other bits of x1 touch no symbol, so
+    # each fails at receiver 2 with no big-integer work.  Reducing a
+    # 150 000-bit vector per wanted bit took about 5.5 s and 1.5 GB
+    inst = Instance(n=2, q=(150000, 1), arcs=((1, 2),), senders=((1, 2),))
+    t0 = time.perf_counter()
+    rep = verify_linear(inst, LinearIndexCode((symbol(1, (1, 1)),)))
+    elapsed = time.perf_counter() - t0
+    assert len(rep.failures) == 149999
+    assert rep.failures[0] == (2, (1, 2)) and rep.failures[-1] == (2, (1, 150000))
+    assert elapsed < 2, f"verify_linear took {elapsed:.1f} s"
 
 
 def test_oracle_frozen_values():
