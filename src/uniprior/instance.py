@@ -71,57 +71,70 @@ class Instance(_Frozen):
 
 
 class MessageGraph(_Frozen):
-    """Undirected graph with an edge {i, j} when some sender owns both.
-
-    Equality, hashing and repr see n and the edges only.  The hash is
-    taken once, on construction, since ``(graph, leaf SCC)`` pairs key
-    the memo of semi leaf-SCC classes.  The adjacency is built on
-    construction and the components on their first query; the memo of
-    leaf-SCC message classes that ``classify.message_class`` keeps here
-    starts empty.
+    """Undirected graph with an edge {i, j} when some sender owns both,
+    kept as the senders and an index from each message to its (1-based)
+    senders, ascending, built in O(sum |s|).  Equality, hashing and repr
+    see n and the senders, not the edges they give.  The hash is taken
+    once, since ``(graph, leaf SCC)`` pairs key the memo of semi leaf-SCC
+    classes.  The edges and the components are derived on first query;
+    the memo that ``classify.message_class`` keeps here starts empty.
     """
 
-    __slots__ = ("n", "edges", "_hash", "_adj", "_comps", "_comp_of", "_scc_classes")
-    _fields = ("n", "edges")
+    __slots__ = ("n", "senders", "_hash", "_owners", "_edges", "_comps", "_comp_of",
+                 "_scc_classes")
+    _fields = ("n", "senders")
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
-        # edges are stored as (min, max) pairs
-        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        for (a, b) in edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        for name, value in zip(self.__slots__,
-                               (n, edges, hash((n, edges)), adj, None, None, {})):
+    def __init__(self, n: int, senders: tuple[tuple[int, ...], ...]):
+        owners: dict[int, list[int]] = {}
+        for k, s in enumerate(senders, start=1):
+            for m in s:
+                owners.setdefault(m, []).append(k)
+        for name, value in zip(self.__slots__, (n, senders, hash((n, senders)), owners,
+                                                None, None, None, {})):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.senders == other.senders
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"MessageGraph(n={self.n!r}, edges={self.edges!r})"
+        return f"MessageGraph(n={self.n!r}, senders={self.senders!r})"
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every (a, b), a < b, that some sender owns both of."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(
+                (a, b) for s in self.senders for a in s for b in s if a < b))
+        return self._edges
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return i != j and not set(self._owners.get(i, ())).isdisjoint(self._owners.get(j, ()))
 
     def neighbors(self, v: int) -> set[int]:
-        return set(self._adj.get(v, ()))
+        return set().union(*(self.senders[k - 1] for k in self._owners.get(v, ()))) - {v}
 
     def neighbors_of_set(self, vs: frozenset[int] | set[int]) -> set[int]:
         """Vertices outside vs adjacent to some member of vs."""
-        out: set[int] = set()
+        return set().union(*map(self.neighbors, vs)) - set(vs)
+
+    def _members_within(self, vs) -> dict[int, list[int]]:
+        """Each sender that owns a member of vs -> its members in vs."""
+        inside: dict[int, list[int]] = {}
         for v in vs:
-            out |= self.neighbors(v)
-        return out - set(vs)
+            for k in self._owners.get(v, ()):
+                inside.setdefault(k, []).append(v)
+        return inside
 
     def components_within(self, vs: frozenset[int] | set[int] | range) -> list[frozenset[int]]:
         """Connected components of the subgraph induced on vs (edges
-        inside vs only), ordered by smallest member."""
-        vs = set(vs)
+        inside vs only), ordered by smallest member; each sender joins
+        all its members in vs at once, so it is expanded once."""
+        inside = self._members_within(vs)
         seen: set[int] = set()
         comps = []
         for start in sorted(vs):
@@ -130,10 +143,11 @@ class MessageGraph(_Frozen):
             comp = {start}
             stack = [start]
             while stack:
-                for w in self._adj.get(stack.pop(), ()):
-                    if w in vs and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
+                for k in self._owners.get(stack.pop(), ()):
+                    for w in inside.pop(k, ()):
+                        if w not in comp:
+                            comp.add(w)
+                            stack.append(w)
             seen |= comp
             comps.append(frozenset(comp))
         return comps
@@ -323,9 +337,4 @@ def validate(inst: Instance) -> ValidationReport:
 
 def derive_message_graph(inst: Instance) -> MessageGraph:
     """Edge {i, j} iff messages x_i and x_j are known to the same sender."""
-    edges: set[tuple[int, int]] = set()
-    for s in inst.senders:
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                edges.add((s[a], s[b]))
-    return MessageGraph(n=inst.n, edges=frozenset(edges))
+    return MessageGraph(inst.n, inst.senders)

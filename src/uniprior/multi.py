@@ -22,7 +22,7 @@ from itertools import chain, islice
 from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
                        message_class, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, _leaf_sccs, leaf_vertices, reach, v_out
+from .graph import WorkGraph, _closure, _leaf_sccs, leaf_vertices, reach, v_out
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -360,7 +360,9 @@ def _is_tree_vertex_set(g: WorkGraph, u: MessageGraph, vs: frozenset[int],
 
 def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple[int, int]]:
     """Kruskal over the induced edges (a, b), a < b, in sorted order:
-    a ascending over vs, then b ascending over a's neighbours in vs."""
+    a ascending over vs, then b ascending over a's neighbours in vs.  A
+    sender's members in vs all join its first one, so it is read once."""
+    inside = u._members_within(vs)
     parent = {v: v for v in vs}
 
     def find(x):
@@ -371,7 +373,7 @@ def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple
 
     chosen = []
     for a in sorted(vs):
-        for b in sorted(w for w in u.neighbors(a) if w > a and w in vs):
+        for b in sorted({w for k in u._owners.get(a, ()) for w in inside.pop(k, ()) if w > a}):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
@@ -394,8 +396,10 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
     _require_binary(inst)
     g, u = _graphs(inst)
     banned = frozenset().union(*_message_connected_leaf_sccs(g, u), leaf_vertices(g))
+    # a closure meets banned iff its root is in banned or precedes a member
+    dead = banned | _closure(g._in, banned)
     real = g.real_vertices()
-    closures = {c for v in real if not (c := reach(g, v) | {v}) & banned}
+    closures = {reach(g, v) | {v} for v in real if v not in dead}
     exact = inst.n <= exact_limit
 
     if exact:
@@ -438,17 +442,8 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
 
 # --------------------------------------------------------- encoding
 
-def _owners(inst: Instance) -> dict[int, set[int]]:
-    """Message -> the (1-based) senders that own it."""
-    owners: dict[int, set[int]] = {}
-    for k, s in enumerate(inst.senders, start=1):
-        for m in s:
-            owners.setdefault(m, set()).add(k)
-    return owners
-
-
-def _smallest_owner(owners: dict[int, set[int]], *messages: int) -> int:
-    common = set.intersection(*(owners.get(m, set()) for m in messages))
+def _smallest_owner(u: MessageGraph, *messages: int) -> int:
+    common = set.intersection(*(set(u._owners.get(m, ())) for m in messages))
     if not common:
         raise ValueError(f"no sender owns messages {messages} together")
     return min(common)
@@ -463,7 +458,6 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
     g, u = _graphs(inst)
     mc = _message_connected_leaf_sccs(g, u)
     blocked = frozenset().union(*mc) if mc else frozenset()
-    owners = _owners(inst)
 
     seen: set[int] = set()
     for t in trees:
@@ -476,30 +470,26 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
     symbols: list[CodeSymbol] = []
     for t in sorted(trees, key=lambda t: min(t.vertices)):
         for (i, j) in sorted(t.edges):
-            symbols.append(CodeSymbol(sender=_smallest_owner(owners, i, j),
+            symbols.append(CodeSymbol(sender=_smallest_owner(u, i, j),
                                       terms=((i, 1), (j, 1))))
     for scc in mc:
         for (i, j) in sorted(_spanning_tree_edges(u, scc)):
-            symbols.append(CodeSymbol(sender=_smallest_owner(owners, i, j),
+            symbols.append(CodeSymbol(sender=_smallest_owner(u, i, j),
                                       terms=((i, 1), (j, 1))))
     leaves = leaf_vertices(g)
     covered = seen | blocked
     for v in g.vertices:
         if v in leaves or v in covered:
             continue
-        symbols.append(CodeSymbol(sender=_smallest_owner(owners, v), terms=((v, 1),)))
+        symbols.append(CodeSymbol(sender=_smallest_owner(u, v), terms=((v, 1),)))
     return LinearIndexCode(symbols=tuple(symbols))
 
 
 # -------------------------------------------------------- bound report
 
 def senders_pairwise_disjoint(inst: Instance) -> bool:
-    seen: set[int] = set()
-    for s in inst.senders:
-        if seen & set(s):
-            return False
-        seen |= set(s)
-    return True
+    # each message's senders are ascending: one sender iff first == last
+    return all(ks[0] == ks[-1] for ks in _graphs(inst)[1]._owners.values())
 
 
 def bound_multi(inst: Instance, exhaustive: bool = False,

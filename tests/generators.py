@@ -63,6 +63,14 @@ def rand_senders(rng: random.Random, n: int, size_max: int = 3,
     return senders
 
 
+def wide_senders(rng: random.Random, n: int) -> list[list[int]]:
+    """Overlapping senders of up to n members each, plus singletons; they
+    need not cover 1..n."""
+    senders = [sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
+               for _ in range(rng.randint(1, 4))]
+    return senders + [[v] for v in rng.sample(range(1, n + 1), rng.randint(0, n))]
+
+
 def rand_multi(rng: random.Random, n_max: int = 8, size_max: int = 3) -> Instance:
     """Binary multi-sender instance with a random overlapping cover."""
     n = rng.randint(2, n_max)

@@ -48,6 +48,15 @@ def _base(**fields) -> str:
     return json.dumps(dict(BASE, **fields))
 
 
+def _one_sender(n: int) -> str:
+    """n one-bit messages, about 3n seeded random arcs and one sender
+    that owns them all: its message graph is a clique of n(n-1)/2 edges."""
+    rng = random.Random("contract:one-sender")
+    arcs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)}
+    return json.dumps({"n": n, "q": [1] * n, "arcs": sorted([i, j] for i, j in arcs if i != j),
+                       "senders": [list(range(1, n + 1))]})
+
+
 INSTANCE_DOCS = [
     "", "null", "[]", "42", '"text"', "{", '{"n": 4, "q": [1, 1', "[" * 100_000,
     HUGE_N, HUGE_N.replace("3000000", str(10 ** 9)), HUGE_N.replace("3000000", str(10 ** 30)),
@@ -61,7 +70,7 @@ INSTANCE_DOCS = [
     json.dumps(dict(BASE, é=1)), json.dumps(dict(BASE, **{"ключ": "значение"})),
     json.dumps({k: v for k, v in BASE.items() if k != "arcs"}),
     _base(senders=[list(range(1, 5))] * 200),
-    LONG_N, SURROGATE_FIELD,
+    LONG_N, SURROGATE_FIELD, _one_sender(5000),
 ]
 
 CODE_DOCS = [

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from uniprior import (Instance, ParseError, derive_message_graph, load_instance,
                       parse_instance, serialize_instance, validate)
 
-from generators import make_instance, rand_multi, rand_senders
+from generators import make_instance, rand_multi, rand_senders, wide_senders
 from oracles import (reference_components, reference_connected_within,
                      reference_neighbors)
 
@@ -178,19 +178,26 @@ def test_message_graph_neighbors():
 
 
 def test_message_graph_matches_edge_scan_reference():
+    """The sender-index queries against scans of ``u.edges``, which is
+    derived from sender pairs alone."""
     rng = random.Random(31)
-    for _ in range(300):
+    for draw in range(600):
         n = rng.randint(2, 14)
-        inst = make_instance(n, [], rand_senders(rng, n, size_max=rng.randint(2, 5)))
-        u = derive_message_graph(inst)
+        senders = (rand_senders(rng, n, size_max=rng.randint(2, 5)) if draw % 2
+                   else wide_senders(rng, n))
+        u = derive_message_graph(make_instance(n, [], senders))
         for v in range(1, n + 1):
             assert u.neighbors(v) == reference_neighbors(u, v)
+            for w in range(1, n + 1):
+                assert u.has_edge(v, w) == (w in reference_neighbors(u, v))
         comps = reference_components(u)
         assert u.components() == comps
         for k, comp in enumerate(comps):
             assert all(u.component_of(v) == k for v in comp)
         for _ in range(5):
             vs = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            assert u.neighbors_of_set(vs) == {w for v in vs
+                                              for w in reference_neighbors(u, v)} - vs
             assert u.connected_within(vs) == reference_connected_within(u, vs)
             within = u.components_within(vs)
             assert sorted(v for c in within for v in c) == sorted(vs)
@@ -206,5 +213,5 @@ def test_message_graph_queries_return_copies():
     u.components().append(frozenset({99}))
     assert u.neighbors(3) == {1, 2}
     assert u.components() == [frozenset({1, 2, 3})]
-    assert u == derive_message_graph(make_instance(3, [], [[2, 3], [1, 3]]))
-    assert repr(u) == f"MessageGraph(n=3, edges={u.edges!r})"
+    assert u.edges == derive_message_graph(make_instance(3, [], [[2, 3], [1, 3]])).edges
+    assert repr(u) == "MessageGraph(n=3, senders=((1, 3), (2, 3)))"

@@ -89,7 +89,7 @@ EDGE_CASES = [
     # named tuples and value classes write as objects of their fields
     ExhaustiveResult(bound=3, exact=True, states_visited=7),
     Instance(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),), notes=("é",)),
-    MessageGraph(n=3, edges=frozenset({(1, 2), (2, 3)})),
+    MessageGraph(n=3, senders=((1, 2), (2, 3))),
     # floats take the standard library's own formatting
     1.5, -2.5e300, float("inf"), [0.1, 2],
 ]

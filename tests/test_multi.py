@@ -19,7 +19,7 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
 from uniprior.multi import _apply, _child_score, _spanning_tree_edges, _steps
 
 from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
-                        rand_multi, rand_single, rand_triples)
+                        rand_multi, rand_single, rand_triples, wide_senders)
 from oracles import (brute_leaf_scc_sets, reference_exhaustive_lower_bound,
                      reference_find_connecting_trees, reference_spanning_tree_edges)
 
@@ -486,6 +486,16 @@ def test_spanning_tree_edges_match_sorted_kruskal():
         assert _spanning_tree_edges(u, vs) == reference_spanning_tree_edges(u, vs)
 
 
+def test_spanning_tree_edges_match_sorted_kruskal_under_wide_senders():
+    # overlapping senders of up to n members, each read once per tree
+    rng = random.Random(137)
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        u = derive_message_graph(make_instance(n, [], wide_senders(rng, n)))
+        vs = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        assert _spanning_tree_edges(u, vs) == reference_spanning_tree_edges(u, vs)
+
+
 def test_bound_with_many_connected_leaf_sccs_under_one_big_sender():
     # 200 two-cycles, each a message-connected leaf SCC through its pair
     # sender, under one sender owning all 400 messages (79 800 edges);
@@ -501,6 +511,21 @@ def test_bound_with_many_connected_leaf_sccs_under_one_big_sender():
     assert [s.terms for s in rep.code.symbols] == [((v, 1), (v + 1, 1))
                                                    for v in range(1, n + 1, 2)]
     assert elapsed < 5, f"bound took {elapsed:.1f} s"
+
+
+def test_bound_with_one_connected_leaf_scc_of_a_big_sender():
+    # one cycle through all n messages, one sender owning them all: a
+    # single message-connected leaf SCC, whose spanning tree reads the
+    # sender once instead of each member's n - 1 neighbours
+    n = 5000
+    inst = make_instance(n, [[v, v % n + 1] for v in range(1, n + 1)], [list(range(1, n + 1))])
+    t0 = time.perf_counter()
+    rep = bound_multi(inst)
+    elapsed = time.perf_counter() - t0
+    assert rep.lower == rep.upper == n - 1
+    assert [(s.sender, s.terms) for s in rep.code.symbols] == [(1, ((1, 1), (v, 1)))
+                                                               for v in range(2, n + 1)]
+    assert elapsed < 2, f"bound took {elapsed:.1f} s"
 
 
 def test_encoder_output_always_verifies():

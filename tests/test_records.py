@@ -54,8 +54,8 @@ CASES = [
      "terms=((1, 1), (2, 1))),)), exact=False, note='capped')"),
     (Instance, dict(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),), notes=("x",)),
      "Instance(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),))"),
-    (MessageGraph, dict(n=3, edges=frozenset({(1, 2), (2, 3)})),
-     "MessageGraph(n=3, edges=frozenset({(2, 3), (1, 2)}))"),
+    (MessageGraph, dict(n=3, senders=((1, 2), (2, 3))),
+     "MessageGraph(n=3, senders=((1, 2), (2, 3)))"),
     (ValidationReport, dict(ok=False, violations=("bad",), notes=("note",)),
      "ValidationReport(ok=False, violations=('bad',), notes=('note',))"),
     (SccPartition, dict(components=(frozenset({1, 2}), frozenset({3})),
@@ -117,7 +117,7 @@ DEFAULTS = [
 # still builds; the fields of every other type change to object()
 OTHER_VALUES = {
     Instance: dict(n=3, q=(1,), arcs=(), senders=((1,),)),
-    MessageGraph: dict(n=4, edges=frozenset({(1, 2)})),
+    MessageGraph: dict(n=4, senders=((1, 2),)),
 }
 
 
@@ -180,15 +180,19 @@ def test_instance_keeps_its_graphs_memo_outside_its_value():
 
 
 def test_message_graph_memos_stay_outside_its_value():
-    u = MessageGraph(n=4, edges=frozenset({(1, 2), (3, 4)}))
-    fresh = MessageGraph(n=4, edges=frozenset({(1, 2), (3, 4)}))
+    u = MessageGraph(n=4, senders=((1, 2), (3, 4)))
+    fresh = MessageGraph(n=4, senders=((1, 2), (3, 4)))
     h = hash(u)
     assert u.components() == [frozenset({1, 2}), frozenset({3, 4})]
     assert u.component_of(4) == 1
+    assert u.edges == frozenset({(1, 2), (3, 4)})
     message_class(u, frozenset({1, 2, 3, 4}))
     assert u == fresh and hash(u) == h == hash(fresh) and repr(u) == repr(fresh)
-    assert u != MessageGraph(n=5, edges=u.edges)
-    assert u != MessageGraph(n=4, edges=frozenset({(1, 2)}))
+    assert u != MessageGraph(n=5, senders=u.senders)
+    assert u != MessageGraph(n=4, senders=((1, 2),))
+    # the value is the senders, not the edges they give
+    assert u != MessageGraph(n=4, senders=((3, 4), (1, 2)))
+    assert MessageGraph(n=4, senders=((3, 4), (1, 2))).edges == u.edges
     memo = {(u, frozenset({1})): "kept"}
     assert memo[(fresh, frozenset({1}))] == "kept"
 
