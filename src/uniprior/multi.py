@@ -6,8 +6,8 @@ Which steps a leaf SCC admits, and in which order, is decided in one
 place, the ``_steps`` generator, from the SCC's class; a step is a
 (kind, argument) pair, and ``_apply`` builds the graph it leads to.
 Algorithm 2 takes the first (canonical) step of the SCC it picks; the
-exhaustive bound branches over all of them, and builds a step's graph
-only when it searches that graph.
+exhaustive bound branches over all of them until a state reaches its
+ceiling, and builds a step's graph only when it searches that graph.
 
 All multi-sender machinery assumes binary messages (every q_i = 1),
 which is where pruning preserves optimality vertex-by-vertex.
@@ -283,11 +283,34 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     key is the parent's key patched by the step, and its v_out and
     leaf-SCC count follow from the parent's (``_child_score``).  Only a
     child that is searched, or a witness append that merges SCCs, is
-    built.  A memo hit takes the memo value, a grounded child its v_out.
-    Once the state cap is hit, the other children are finished by
-    prune-everything completions (v_out minus the leaf-SCC count), which
-    keeps the reported bound sound but possibly loose; the result is
-    flagged inexact.
+    built.  A memo hit takes the memo value, a grounded child its v_out
+    (grounded children get no memo entry).  Once the state cap is hit,
+    the other children are finished by prune-everything completions
+    (v_out minus the leaf-SCC count), which keeps the reported bound
+    sound but possibly loose; the result is flagged inexact.
+
+    A searched state stops as soon as its best child value reaches its
+    ceiling, v_out minus its number of message-connected leaf SCCs; the
+    children it has not scored yet are skipped.  The ceiling holds for
+    every sequence from the state:
+    - an append keeps v_out, and a prune lowers it by exactly 1, since
+      the pruned vertex sat in a leaf SCC, so had out-arcs, and loses
+      them all;
+    - a message-connected leaf SCC C admits prunes only, and a step on
+      another leaf SCC leaves C as it is: C has no out-arcs, so no
+      appended arc leaves C and no cycle through a new arc passes
+      through C, and C's class depends on its vertex set alone;
+    - the final graph has no leaf SCC, so each such C costs a prune of
+      its own vertex, and distinct ones cost distinct prunes.
+    Every value a search returns is achieved by some sequence, so a
+    best that reaches the ceiling is the state's exact value, and the
+    stop keeps every memo entry exact and the result unchanged while
+    the search stays under its cap.
+
+    ``states_visited`` counts the states searched: each distinct state
+    whose steps were enumerated, once.  Memo hits, grounded children,
+    children finished after the cap and children skipped by the
+    ceiling stop are not counted.
 
     The search is depth-first on an explicit stack, so its depth is not
     bounded by Python's recursion limit.
@@ -298,7 +321,7 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     states = 0
     truncated = False
     # one frame per state being searched:
-    # [graph, key, v_out, leaf-SCC count, its steps, best so far]
+    # [graph, key, v_out, leaf-SCC count, its steps, best so far, ceiling]
     stack: list[list] = []
 
     def enter(key, vo: int, nleaf: int, g: WorkGraph | None, parent=None, step=None):
@@ -306,11 +329,10 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
         frame pushed; g is the state's graph, or None to build it from
         parent by step."""
         nonlocal states, truncated
+        if not nleaf:
+            return vo
         if key in memo:
             return memo[key]
-        if not nleaf:
-            memo[key] = vo
-            return vo
         if states >= max_states:
             truncated = True
             return vo - nleaf  # finish by pruning everything
@@ -318,14 +340,15 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
         if g is None:
             g = _apply(parent, *step)
         steps = chain.from_iterable(_steps(g, u, scc) for scc in _leaf_sccs(g))
-        stack.append([g, key, vo, nleaf, steps, 0])
+        ceiling = vo - len(_message_connected_leaf_sccs(g, u))
+        stack.append([g, key, vo, nleaf, steps, 0, ceiling])
         return None
 
     # an instance's graph has no dummies
     val = enter((g0.arcs, frozenset()), v_out(g0), len(_leaf_sccs(g0)), g0)
     while stack:
         frame = stack[-1]
-        step = next(frame[4], None)
+        step = next(frame[4], None) if frame[5] < frame[6] else None
         if step is None:
             stack.pop()
             val = frame[5]

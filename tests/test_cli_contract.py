@@ -57,6 +57,13 @@ def _one_sender(n: int) -> str:
                        "senders": [list(range(1, n + 1))]})
 
 
+def _one_sender_cycle(n: int) -> str:
+    """n one-bit messages on the cycle v -> v + 1 (mod n), owned by one
+    sender: one message-connected leaf SCC with n prune steps."""
+    return json.dumps({"n": n, "q": [1] * n, "arcs": [[v, v % n + 1] for v in range(1, n + 1)],
+                       "senders": [list(range(1, n + 1))]})
+
+
 INSTANCE_DOCS = [
     "", "null", "[]", "42", '"text"', "{", '{"n": 4, "q": [1, 1', "[" * 100_000,
     HUGE_N, HUGE_N.replace("3000000", str(10 ** 9)), HUGE_N.replace("3000000", str(10 ** 30)),
@@ -70,7 +77,7 @@ INSTANCE_DOCS = [
     json.dumps(dict(BASE, é=1)), json.dumps(dict(BASE, **{"ключ": "значение"})),
     json.dumps({k: v for k, v in BASE.items() if k != "arcs"}),
     _base(senders=[list(range(1, 5))] * 200),
-    LONG_N, SURROGATE_FIELD, _one_sender(5000),
+    LONG_N, SURROGATE_FIELD, _one_sender(5000), _one_sender_cycle(5000),
 ]
 
 CODE_DOCS = [

@@ -3,7 +3,10 @@ code files ``encode`` writes, on 210 seeded instances, pinned by one
 sha256 per family.
 
 The digests were recorded from the implementation that emitted JSON
-through ``json.dumps(..., indent=2, sort_keys=True)``.  Any change to a
+through ``json.dumps(..., indent=2, sort_keys=True)``; those of cyclic
+and multi again when the exhaustive search learned to stop a state at
+its ceiling, which moved only its states, its exactness, ``partial``
+and the exit code.  Any change to a
 byte of stdout or stderr, an exit code or a written code file moves a
 digest.  To find the first call that moved, compare ``_family_lines``
 of the two implementations.
@@ -78,9 +81,9 @@ FAMILIES = {
 
 DIGESTS = {
     "broken": "44e663b5d3ce677cc09314e59e1c9ea5a854d63409ef8b73f1ca529615d4ec33",
-    "cyclic": "1062c82dc0095734cc3d9c04a10357e00a517975f79ff5ea4ab31731fb010499",
+    "cyclic": "90fcfa3ad9d69ea089b5ced5bb779a26f26117895622a95beac3b541bb79d354",
     "disjoint": "7ed8fe1e9f1e43656b70fbc457c3682998e11cb97ac7d05ca128680c00ea9c8b",
-    "multi": "4782ef886933702ab731016a2eca8eb6afe59a6f898751d15a147667a2ceacfb",
+    "multi": "44bb977d3da8ac90e4d25c8a066f77a3912399ffc38712d23606176c65af809a",
     "single": "8f149b5cb8b310b7e88d34c5dea4c1c6f26296e9b41c19fa12e82cc3b81356a8",
     "triples": "8e1278ca9c4a8f2acfd60851695819af5ea0a605b05e6638c9387f671c56f1b7",
 }

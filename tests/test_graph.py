@@ -397,7 +397,7 @@ def test_cli_runs_tarjan_once_per_root_graph(tmp_path, monkeypatch, capsys):
     rng = random.Random(47)
     path = tmp_path / "inst.json"
     children = 0
-    for _ in range(30):
+    for _ in range(120):
         multi, single = rand_cyclic(rng, n_max=10), rand_single(rng, n_max=8, q_max=3)
         for inst, commands in [(multi, (["bound"], ["bound", "--exhaustive"])),
                                (single, (["solve"],))]:

@@ -235,7 +235,8 @@ def test_exhaustive_on_single_sender_matches_pruning_bound():
 
 def test_exhaustive_search_depth_is_not_bounded_by_the_recursion_limit():
     # 100 disjoint 2-cycles with singleton senders: each search path is
-    # one step per cycle deep, far past the limit set here
+    # one step per cycle deep, far past the limit set here; the first
+    # path, 100 dummy appends deep, already reaches the ceiling of 200
     n = 200
     inst = make_instance(n, [[i, i + 1] for i in range(1, n, 2)]
                          + [[i + 1, i] for i in range(1, n, 2)],
@@ -246,7 +247,7 @@ def test_exhaustive_search_depth_is_not_bounded_by_the_recursion_limit():
         ex = exhaustive_lower_bound(inst, max_states=100)
     finally:
         sys.setrecursionlimit(old)
-    assert ex == ExhaustiveResult(bound=200, exact=False, states_visited=100)
+    assert ex == ExhaustiveResult(bound=200, exact=True, states_visited=100)
 
 
 def test_capped_exhaustive_search_scores_children_without_building_them():
@@ -264,21 +265,85 @@ def test_capped_exhaustive_search_scores_children_without_building_them():
     assert elapsed < 5, f"exhaustive search took {elapsed:.1f} s"
 
 
+def test_exhaustive_search_stops_at_the_ceiling_before_the_cap():
+    # 600 disjoint 2-cycles with singleton senders: the first path of
+    # 600 dummy appends keeps v_out = 1200, the root's ceiling, so the
+    # search ends exact after those 600 states; enumerating every child
+    # instead ran into the cap of 2000 states after about 9 s
+    n = 1200
+    inst = make_instance(n, [[i, i + 1] for i in range(1, n, 2)]
+                         + [[i + 1, i] for i in range(1, n, 2)],
+                         [[v] for v in range(1, n + 1)])
+    t0 = time.perf_counter()
+    ex = exhaustive_lower_bound(inst, max_states=2000)
+    elapsed = time.perf_counter() - t0
+    assert ex == ExhaustiveResult(bound=1200, exact=True, states_visited=600)
+    assert elapsed < 5, f"exhaustive search took {elapsed:.1f} s"
+
+
 def test_exhaustive_matches_reference_search():
+    # the reference enumerates every child of every state; the search
+    # under test stops a state at its ceiling, so it visits no more
+    # states, never returns less, and agrees wherever either is exact
     rng = random.Random(137)
     insts = [rand_cyclic(rng, n_max=12) for _ in range(60)]
     insts += [rand_multi(rng, n_max=8) for _ in range(60)]
     insts += [rand_triples(rng, t_max=4) for _ in range(30)]
     insts += [big_sender_clusters(rng) for _ in range(12)]
-    searched = capped = 0
+    searched = capped = gained = 0
     for inst in insts:
         caps = (60, 7, 1, 0) if inst.n > 8 else (10 ** 6, 60, 7, 1, 0)
-        for cap in caps:
-            ex = exhaustive_lower_bound(inst, max_states=cap)
-            assert ex == reference_exhaustive_lower_bound(inst, max_states=cap), (inst, cap)
+        pairs = [(exhaustive_lower_bound(inst, max_states=cap),
+                  reference_exhaustive_lower_bound(inst, max_states=cap)) for cap in caps]
+        exact_refs = {ref.bound for _, ref in pairs if ref.exact}
+        assert len(exact_refs) <= 1, inst
+        for cap, (ex, ref) in zip(caps, pairs):
+            assert ex.bound >= ref.bound, (inst, cap)
+            assert ex.states_visited <= ref.states_visited, (inst, cap)
+            if ref.exact:
+                assert ex.exact and ex.bound == ref.bound, (inst, cap)
+            if ex.exact:
+                assert exact_refs <= {ex.bound}, (inst, cap)
             searched += 1
-            capped += not ex.exact
-    assert searched >= 700 and capped >= 300
+            capped += not ref.exact
+            gained += ex.exact and not ref.exact
+    assert searched >= 700 and capped >= 300 and gained >= 50
+
+
+def _exact_values(g, u, values: dict) -> int:
+    """The exact value of g's state, from the built children of every
+    step, with the value of every state reachable from g stored in
+    values under its key, alongside its ceiling."""
+    key = _built_key(g)
+    if key not in values:
+        sccs = brute_leaf_scc_sets(g)
+        ceiling = v_out(g) - sum(classify_leaf_scc(g, u, scc).kind is Kind.MESSAGE_CONNECTED
+                                 for scc in sccs)
+        best = max((_exact_values(_apply(g, kind, x), u, values)
+                    for scc in sccs for kind, x in _steps(g, u, scc)), default=v_out(g))
+        values[key] = (best, ceiling if sccs else None)
+    return values[key][0]
+
+
+def test_state_values_never_exceed_their_ceiling():
+    # every state the uncapped reference search expands (every reachable
+    # state with a leaf SCC) is worth at most v_out minus its number of
+    # message-connected leaf SCCs; the ceiling is often reached, and it
+    # is not always reached
+    rng = random.Random(149)
+    reached = below = 0
+    for k in range(240):
+        inst = (rand_cyclic(rng, n_max=8) if k % 3 == 0 else rand_multi(rng, n_max=7)
+                if k % 3 == 1 else rand_triples(rng, t_max=2))
+        values: dict = {}
+        g, u = graph_and_u(inst)
+        _exact_values(g, u, values)
+        for value, ceiling in values.values():
+            if ceiling is not None:
+                assert value <= ceiling, inst
+                reached += value == ceiling
+                below += value < ceiling
+    assert reached >= 1500 and below >= 400, (reached, below)
 
 
 def _built_key(g):
