@@ -197,7 +197,8 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_valid_instance(args.instance)
     try:
-        res = oracle_min_linear(inst, max_len=args.max_len, max_bits=args.max_bits)
+        res = oracle_min_linear(inst, max_len=args.max_len, max_bits=args.max_bits,
+                                max_nodes=args.max_nodes)
     except CapExceededError as e:
         raise CliError(str(e), status=EXIT_PARTIAL) from e
     label = "optimum" if len(inst.senders) == 1 else "linear optimum"
@@ -287,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--max-len", type=int, default=None)
     sp.add_argument("--max-bits", type=int, default=12)
+    sp.add_argument("--max-nodes", type=int, default=10_000,
+                    help="search nodes entered before the uncoded code is reported")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("trace", parents=[common],
@@ -311,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; that status means "verification
         # failed" here, so remap (0 stays 0 for --help)
         return EXIT_OK if e.code == 0 else EXIT_INVALID
-    for cap in ("max_states", "max_len", "max_bits"):
+    for cap in ("max_states", "max_len", "max_bits", "max_nodes"):
         if getattr(args, cap, None) is not None and getattr(args, cap) <= 0:
             print(f"error: --{cap.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_INVALID

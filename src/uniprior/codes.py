@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from enum import Enum
-from itertools import product
 
-from .graph import WorkGraph
+from .graph import WorkGraph, _closure
 from .instance import Instance, ParseError, _Frozen, parse_json, read_text
 
 
@@ -474,22 +473,14 @@ def _candidate_vectors(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[i
     once, attributed to the smallest sender; attribution never affects
     decodability."""
     cands = []
-    seen: set[int] = set()
+    seen = {0}
     for si, members in enumerate(inst.senders, start=1):
-        coords = [_coord(offsets, m, b) for m in members for b in range(1, inst.q[m - 1] + 1)]
-        coords.sort()
-        vecs = []
-        for bits in product((0, 1), repeat=len(coords)):
-            v = 0
-            for c, on in zip(coords, bits):
-                if on:
-                    v |= 1 << c
-            if v and v not in seen:
-                seen.add(v)
-                vecs.append(v)
-        vecs.sort()
-        for v in vecs:
-            cands.append((si, v))
+        vecs = [0]
+        for m in members:
+            for b in range(1, inst.q[m - 1] + 1):
+                vecs += [v | 1 << _coord(offsets, m, b) for v in vecs]
+        cands += [(si, v) for v in sorted(set(vecs) - seen)]
+        seen.update(vecs)
     return cands
 
 
@@ -507,45 +498,53 @@ def _extend(lead: dict[int, int], vecs) -> int:
     return len(lead)
 
 
-def _deficit(rows: dict[int, int], own: range, wanted: list[int]) -> int:
-    """The rank deficit of a receiver knowing the coordinates ``own`` on
-    the ``wanted`` ones: the rank of the t_c & keep of ``verify_linear``
-    reduced by K, which is rank(K u T) - rank(K) for T those t_c, so one
-    elimination gives both."""
-    keep = ~(((1 << len(own)) - 1) << own.start)
-    lead: dict[int, int] = {}
-    k = _extend(lead, [rows[p] & keep for p in own if p in rows])
-    return _extend(lead, [(rows.get(c, 0) ^ (1 << c)) & keep for c in wanted]) - k
+def _reduced(rows: tuple[int, ...], v: int) -> int:
+    """v reduced by echelon rows in descending order, or by RREF rows in
+    any order: 0 iff v is in their span (v ^ row < v iff v has row's top
+    bit)."""
+    for row in rows:
+        if v ^ row < v:
+            v ^= row
+    return v
 
 
-def _closed_demands(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[range, list[int]]]:
-    """(own coordinates, coordinates to decode) for every receiver that
-    wants something, where r must decode every message reachable from it
-    along requests (r wants i, receiver i wants j, ...).
+def _lowers(a: tuple[int, ...], b: tuple[int, ...], ko: int, kow: int, v: int) -> bool:
+    """Whether v lowers the deficit of a receiver (``oracle_min_linear``)."""
+    return not _reduced(b, v & kow) and bool(_reduced(a, v & ko))
+
+
+def _grown(state: tuple, masks: list[tuple[int, int]], v: int) -> tuple:
+    """Per receiver (d_r, A_r, B_r) of span + v from those of the span;
+    a basis v does not widen is shared, not copied."""
+    out = []
+    for (d, a, b), (ko, kow) in zip(state, masks):
+        x = _reduced(a, v & ko)
+        if x:  # else neither basis grows
+            a = tuple(sorted(a + (x,), reverse=True))
+            y = _reduced(b, v & kow)
+            b, d = (tuple(sorted(b + (y,), reverse=True)), d) if y else (b, d - 1)
+        out.append((d, a, b))
+    return tuple(out)
+
+
+def _closed_demands(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(own coordinates, coordinates to decode), as bit masks, for every
+    receiver that wants something, where r must decode every message
+    reachable from it along requests (r wants i, receiver i wants j, ...).
 
     A receiver that decodes message i knows all that receiver i knows, so
     a code decoding every request decodes these closed demands as well,
     and conversely.  Each closed deficit is at least the plain one."""
-    wants: dict[int, list[int]] = {}
+    wants: dict[int, list[int]] = {r: [] for r in range(1, inst.n + 1)}
     for (i, j) in inst.arcs:
-        wants.setdefault(j, []).append(i)
-    out = []
-    for r in sorted(wants):
-        reach: set[int] = set()
-        stack = [r]
-        while stack:
-            for i in wants.get(stack.pop(), ()):
-                if i not in reach:
-                    reach.add(i)
-                    stack.append(i)
-        reach.discard(r)
-        out.append((range(offsets[r - 1], offsets[r - 1] + inst.q[r - 1]),
-                    [offsets[m - 1] + b for m in sorted(reach) for b in range(inst.q[m - 1])]))
-    return out
+        wants[j].append(i)
+    return [(((1 << inst.q[r - 1]) - 1) << offsets[r - 1],
+             sum(((1 << inst.q[m - 1]) - 1) << offsets[m - 1] for m in _closure(wants, (r,)) - {r}))
+            for r in range(1, inst.n + 1) if wants[r]]
 
 
 def oracle_min_linear(inst: Instance, max_len: int | None = None,
-                      max_bits: int = 12) -> OracleResult:
+                      max_bits: int = 12, max_nodes: int = 10_000) -> OracleResult:
     """Minimum number of scalar-linear symbols decoding every request.
 
     Exhaustive subspace search with canonical (lexicographic) ordering,
@@ -553,20 +552,37 @@ def oracle_min_linear(inst: Instance, max_len: int | None = None,
     the value is the linear optimum; whether nonlinear codes can beat it
     is not settled, so callers should label it accordingly.
 
-    A node is (span, slots, start): the code so far as its RREF snapshot,
-    the symbols still to place, and the first candidate it may use.  It
-    fails at once when some receiver's rank deficit on its closed demand
-    (``_closed_demands``) exceeds slots: one more symbol lowers a deficit
-    by at most one.  Two memos prune only branches already proven to
-    fail, so the visiting order and the first witness are those of the
-    plain search:
+    A node is (span S, slots, start): the code so far as its RREF rows,
+    the symbols still to place, and the first candidate it may use.
+    Receiver r knows its coordinates O_r and must decode W_r, the
+    messages reachable from it along requests (``_closed_demands``).
+    With S|M the projection of S onto coordinates M, A_r the rows of
+    S|~O_r and B_r those of S|~(O_r u W_r), r's rank deficit is
 
-    - ``deficits``: span -> the largest deficit, once per span; the code
-      decodes every request iff it is 0.
-    - ``failed``: (span, slots) -> the smallest start a search from it
-      failed at.  The branches open from start s' >= s are a subset of
-      those open from s, with the same subtrees, so failing at s means
-      failing at every s' >= s.
+        d_r(S) = |W_r| + rank B_r - rank A_r,
+
+    since S + e(O_r) has rank |O_r| + rank A_r, S + e(O_r u W_r) has
+    rank |O_r u W_r| + rank B_r, and r decodes W_r iff they are equal.
+    Adding v grows B_r iff v|~(O_r u W_r) is outside span B_r, and then
+    v|~O_r is outside span A_r, which grows A_r: so d_r moves by -1 or 0.
+    The root has every d_r <= slots (= length), and so does each node
+    after it: the child by v needs d_r <= slots - 1, so it survives iff v
+    lowers every tight d_r (== slots):
+    v|~O_r outside span A_r and v|~(O_r u W_r) in span B_r.  At slots 1
+    a survivor has every deficit 0 and is the witness.  A node that is
+    searched builds its (d_r, A_r, B_r) from its parent's (``_grown``).
+    All else skipped has no witness or was searched already, so the
+    visiting order and the first witness are the plain search's:
+
+    - ``failed``: span -> the smallest start a search from it failed at,
+      per length (slots + rank = length).  The branches from start
+      s' >= s are among those from s, so a node tries only candidates
+      below the start it last failed from.
+    - Candidates in one coset v + S give one child span, the later one
+      with a later start, so only the first is tried.
+
+    At most ``max_nodes`` nodes are entered over all lengths; past that
+    the result is the uncoded code, not exact, as past ``max_len``.
     """
     offsets, total = bit_layout(inst)
     if total > max_bits:
@@ -579,57 +595,64 @@ def oracle_min_linear(inst: Instance, max_len: int | None = None,
     cands = _candidate_vectors(inst, offsets)
     upper_code = _trivial_upper_code(inst)
     hard_cap = len(upper_code) if max_len is None else min(max_len, len(upper_code))
+    masks = [(~own, ~(own | wanted)) for own, wanted in demands]
+    root = tuple((wanted.bit_count(), (), ()) for _, wanted in demands)
+    failed: dict[tuple[int, ...], int] = {}
+    nodes = 0
 
-    deficits: dict[tuple[int, ...], int] = {}
-    failed: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def demand(basis: Gf2Basis) -> tuple[tuple[int, ...], int]:
-        span = basis.snapshot()
-        d = deficits.get(span)
-        if d is None:
-            d = deficits[span] = max(_deficit(basis.rows, own, wanted)
-                                     for own, wanted in demands)
-        return span, d
-
-    def dfs(start: int, chosen: list[tuple[int, int]], basis: Gf2Basis, slots: int) -> bool:
-        span, d = demand(basis)
-        if not slots:
-            return d == 0
-        if d > slots:
+    def dfs(start: int, span: tuple[int, ...], slots: int, up: tuple, v: int) -> bool:
+        # span is the parent's span + v, and up the parent's state
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise CapExceededError
+        end = failed.get(span, len(cands))
+        if end <= start:
             return False
-        key = (span, slots)
-        if failed.get(key, start + 1) <= start:
-            return False
-        for k in range(start, len(cands)):
+        state = _grown(up, masks, v)
+        tight = [(a, b, ko, kow) for (d, a, b), (ko, kow) in zip(state, masks) if d == slots]
+        seen = set()
+        for k in range(start, end):
             si, vec = cands[k]
-            b2 = basis.copy()
-            if not b2.add(vec):
-                continue  # dependent symbols never widen any receiver's span
-            chosen.append((si, vec))
-            if dfs(k + 1, chosen, b2, slots - 1):
-                return True
-            chosen.pop()
-        failed[key] = start
+            r = vec  # _reduced(span, vec), inline in the hottest loop: v + S's representative
+            for row in span:
+                if r ^ row < r:
+                    r ^= row
+            if not r or r in seen:
+                continue  # dependent, or the coset of an earlier candidate
+            seen.add(r)
+            for a, b, ko, kow in tight:
+                if not _lowers(a, b, ko, kow, r):
+                    break
+            else:
+                chosen.append((si, vec))
+                if slots == 1:
+                    return True
+                top = r.bit_length() - 1  # RREF of span + r, sorted: the child's key
+                child = tuple(sorted([row ^ r if row >> top & 1 else row for row in span] + [r],
+                                     reverse=True))
+                if dfs(k + 1, child, slots - 1, state, r):
+                    return True
+                chosen.pop()
+        failed[span] = start
         return False
 
-    lb = demand(Gf2Basis())[1]
+    lb = max(d for d, _, _ in root)
+    note = f"no code of length <= {hard_cap} found within caps"
     for length in range(lb, hard_cap + 1):
-        failed.clear()  # slots + the span's rank = length, so no key recurs
+        failed.clear()
         chosen: list[tuple[int, int]] = []
-        if dfs(0, chosen, Gf2Basis(), length):
-            witness = list(chosen)
-            symbols = []
-            for (si, vec) in witness:
-                terms = []
-                for msg in range(1, inst.n + 1):
-                    for b in range(1, inst.q[msg - 1] + 1):
-                        if (vec >> _coord(offsets, msg, b)) & 1:
-                            terms.append((msg, b))
-                symbols.append(CodeSymbol(sender=si, terms=tuple(terms)))
-            return OracleResult(length=length, code=LinearIndexCode(symbols=tuple(symbols)),
-                                exact=True)
+        try:
+            found = dfs(0, (), length, root, 0)
+        except CapExceededError:
+            note = f"search stopped after {max_nodes} nodes (max_nodes) at length {length}"
+            break
+        if found:
+            terms = [(m, b) for m in range(1, inst.n + 1) for b in range(1, inst.q[m - 1] + 1)]
+            symbols = tuple(CodeSymbol(si, tuple(t for t in terms if vec >> _coord(offsets, *t) & 1))
+                            for si, vec in chosen)
+            return OracleResult(length=length, code=LinearIndexCode(symbols), exact=True)
 
-    # length cap cut the search short; fall back to the uncoded scheme
+    # a cap cut the search short; fall back to the uncoded scheme
     return OracleResult(length=len(upper_code), code=upper_code, exact=False,
-                        note=f"no code of length <= {hard_cap} found within caps; "
-                             f"reporting the uncoded upper bound")
+                        note=note + "; reporting the uncoded upper bound")

@@ -208,9 +208,14 @@ def test_oracle_caps(files, capsys):
     assert status == 3
     assert "upper bound only" in out
 
-    status, _, err = run(capsys, "oracle", files["d1"], "--max-bits", "0")
-    assert status == 1
-    assert "positive" in err
+    status, out, _ = run(capsys, "oracle", files["d1"], "--max-nodes", "2")
+    assert status == 3
+    assert "upper bound only" in out and "max_nodes" in out
+
+    for cap in ("--max-bits", "--max-nodes"):
+        status, _, err = run(capsys, "oracle", files["d1"], cap, "0")
+        assert status == 1
+        assert "positive" in err
 
 
 def test_trace_text(files, capsys):

@@ -18,7 +18,7 @@ from generators import (make_instance, rand_arcs, rand_code, rand_multi,
                         rand_senders, rand_single)
 from oracles import (_residues, brute_min_linear, reference_oracle_min_linear,
                      reference_verify_linear)
-from uniprior.codes import _closed_demands, _deficit, symbol_vectors
+from uniprior.codes import _closed_demands, _grown, _lowers, symbol_vectors
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -455,21 +455,68 @@ def test_oracle_length_cap_falls_back_to_uncoded():
     assert verify_linear(D1, res.code).valid
 
 
+def _grow(demands, vecs):
+    """The oracle's per-receiver states (d_r, A_r, B_r) of the empty span
+    and after each of vecs in turn, checking that every step moves each
+    d_r by -1 or 0 and that the tight-receiver test says which."""
+    masks = [(~own, ~(own | wanted)) for own, wanted in demands]
+    states = [tuple((wanted.bit_count(), (), ()) for _, wanted in demands)]
+    for v in vecs:
+        child = _grown(states[-1], masks, v)
+        for (d, a, b), (ko, kow), (d2, _, _) in zip(states[-1], masks, child):
+            assert d2 in (d - 1, d)
+            assert _lowers(a, b, ko, kow, v) == (d2 == d - 1)
+        states.append(child)
+    return states
+
+
+def _scratch_deficit(vecs, own: int, wanted: int, total: int) -> int:
+    """The rank of the residues of ``reference_verify_linear``'s criterion,
+    from a fresh elimination of vecs."""
+    start = own.bit_length() - own.bit_count()
+    return Gf2Basis(_residues(Gf2Basis(vecs).rows, range(start, own.bit_length()),
+                              [c for c in range(total) if wanted >> c & 1])).rank
+
+
+def test_oracle_node_budget_falls_back_to_uncoded():
+    """The budget counts node entries over all lengths, the same on every
+    run: D1's search enters 3 nodes, at lengths 1 and 2."""
+    assert oracle_min_linear(D1, max_nodes=3) == oracle_min_linear(D1)
+    res = oracle_min_linear(D1, max_nodes=2)
+    assert not res.exact and res.length == 3
+    assert res.note == ("search stopped after 2 nodes (max_nodes) at length 2; "
+                        "reporting the uncoded upper bound")
+    assert verify_linear(D1, res.code).valid
+    # 12 bits under four overlapping senders: 565 336 nodes to the exact answer
+    slow = make_instance(4, [[1, 2], [4, 3]], [[1, 4], [2, 3], [1, 2, 4], [1, 3]],
+                         q=[3, 3, 3, 3])
+    t = time.perf_counter()
+    res = oracle_min_linear(slow, max_nodes=500)
+    assert not res.exact and res.length == 6 and "500 nodes" in res.note
+    assert time.perf_counter() - t < 2
+
+
 def test_deficit_matches_residue_rank():
+    """The incremental deficit, on random spans, is the rank of the
+    residues from scratch; one more vector lowers it iff ``_lowers``
+    says so, which is the test the oracle applies to a tight receiver."""
     rng = random.Random(59)
     pivots_in_own: set[str] = set()
     for _ in range(600):
         q = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
         offsets, total = bit_layout(make_instance(len(q), [], [list(range(1, len(q) + 1))], q))
         r = rng.randrange(len(q))
-        own = range(offsets[r], offsets[r] + q[r])
-        others = [c for c in range(total) if c not in own]
-        wanted = rng.sample(others, rng.randint(1, len(others)))
-        rows = Gf2Basis(rng.randrange(1, 1 << total)
-                        for _ in range(rng.randint(0, total))).rows
-        inside = sum(p in rows for p in own)
-        pivots_in_own.add("q_r" if inside == len(own) > 1 else str(min(inside, 2)))
-        assert _deficit(rows, own, wanted) == Gf2Basis(_residues(rows, own, wanted)).rank
+        own = ((1 << q[r]) - 1) << offsets[r]
+        others = [c for c in range(total) if not own >> c & 1]
+        wanted = sum(1 << c for c in rng.sample(others, rng.randint(1, len(others))))
+        vecs = [rng.randrange(1, 1 << total) for _ in range(rng.randint(0, total))]
+        rows = Gf2Basis(vecs).rows
+        inside = sum(own >> p & 1 for p in rows)
+        pivots_in_own.add("q_r" if inside == q[r] > 1 else str(min(inside, 2)))
+        vecs.append(rng.randrange(1, 1 << total))  # the child the tight test judges
+        states = _grow([(own, wanted)], vecs)
+        for k, state in enumerate(states):
+            assert state[0][0] == _scratch_deficit(vecs[:k], own, wanted, total)
     assert pivots_in_own >= {"0", "1", "q_r"}
 
 
@@ -479,19 +526,18 @@ def test_closed_demands_decode_iff_requests_do():
     # receiver 3 wants 2 and receiver 2 wants 1, so 3 must decode both;
     # on a cycle a receiver never has to decode its own message
     chain = make_instance(3, [[1, 2], [2, 3], [3, 2]], [[1, 2, 3]])
-    assert _closed_demands(chain, (0, 1, 2)) == [(range(1, 2), [0, 2]), (range(2, 3), [0, 1])]
+    assert _closed_demands(chain, (0, 1, 2)) == [(0b010, 0b101), (0b100, 0b011)]
     rng = random.Random(61)
     for _ in range(150):
         inst = rand_multi(rng, n_max=5) if rng.random() < 0.5 else rand_single(rng, 4, q_max=2)
-        demands = _closed_demands(inst, bit_layout(inst)[0])
+        offsets, total = bit_layout(inst)
+        demands = _closed_demands(inst, offsets)
         code = rand_code(rng, inst, max_len=7)
         vecs = symbol_vectors(inst, code)
-        rows = Gf2Basis(vecs[:-1]).rows
-        full = Gf2Basis(vecs).rows
-        before = [_deficit(rows, own, wanted) for own, wanted in demands]
-        after = [_deficit(full, own, wanted) for own, wanted in demands]
-        assert verify_linear(inst, code).valid == (not any(after))
-        assert all(b - 1 <= a <= b for b, a in zip(before, after))
+        after = _grow(demands, vecs)[-1]
+        assert [d for d, _, _ in after] == [_scratch_deficit(vecs, own, wanted, total)
+                                            for own, wanted in demands]
+        assert verify_linear(inst, code).valid == (not any(d for d, _, _ in after))
 
 
 def _rand_weighted(rng, multi: bool):
@@ -506,6 +552,17 @@ def _rand_weighted(rng, multi: bool):
     return make_instance(n, rand_arcs(rng, n, rng.uniform(0.15, 0.55)), senders, q)
 
 
+def _rand_wide(rng):
+    """9-11 bits of 1-2 bit messages under senders of at most 2 messages,
+    sparse enough that the reference search ends in well under a second."""
+    while True:
+        n = rng.randint(6, 9)
+        q = [rng.randint(1, 2) for _ in range(n)]
+        if 9 <= sum(q) <= 11:
+            return make_instance(n, rand_arcs(rng, n, rng.uniform(0.08, 0.2)),
+                                 rand_senders(rng, n, size_max=2), q)
+
+
 def _oracle_families(rng):
     for _ in range(60):
         yield rand_multi(rng, n_max=6)
@@ -514,6 +571,13 @@ def _oracle_families(rng):
     for k in range(80):
         yield _rand_weighted(rng, multi=k % 2 == 1)
     yield make_instance(3, [], [[1, 2], [3]])
+    # the shapes of the oracle-small benchmark pool
+    for k in range(60):
+        n = rng.randint(5, 6) if k % 3 else rng.randint(4, 5)
+        senders = rand_senders(rng, n, size_max=3) if k % 3 else [list(range(1, n + 1))]
+        yield make_instance(n, rand_arcs(rng, n, rng.uniform(0.15, 0.55)), senders)
+    for _ in range(20):
+        yield _rand_wide(rng)
 
 
 def test_oracle_matches_reference_search():
