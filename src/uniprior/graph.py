@@ -2,6 +2,7 @@
 
 WorkGraph is the object pruning and appending operate on.  Instances of
 it are treated as values: every mutation helper returns a fresh graph.
+A graph is stored as its adjacency alone (``arcs`` is read from it).
 Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
 
@@ -11,9 +12,10 @@ cover the witness search starts from, and each vertex's predecessors and
 forward reach.  A graph made from another by one step (``with_arc``,
 ``without_out_arcs``, ``with_new_dummy``) patches its parent's adjacency
 and checks only the new arc.  If the parent's leaf SCCs (SCCs of >= 2
-vertices that no arc leaves) were known, the child keeps them and the
-step, and derives its own from them with no Tarjan run.  Let C be the
-SCC of the step's source vertex a:
+vertices that no arc leaves) are known, the step hands the child its
+own, derived from the parent's with no Tarjan run and no child built
+(``_stepped_leaf_sccs``).  Let C be the SCC of the step's source vertex
+a:
 - prune of a: C is no leaf SCC any more, and no new one appears.  A
   path between two vertices of another SCC never passed through a (a
   would belong to that SCC), so only C can split.  No part of C is a
@@ -22,9 +24,11 @@ SCC of the step's source vertex a:
 - new dummy d under a: C gains an arc out, and d is a singleton.
 - new arc (a, b): inside C nothing changes.  If b does not reach a, C
   gains an arc out.  Otherwise the vertices on paths from b to a join C
-  in one SCC M.  C is the only leaf SCC M can contain (a leaf SCC
-  reaches nothing outside itself, and all of M reaches a), and M is a
-  leaf SCC if no arc leaves it.
+  in one SCC M: a, b and the vertices b reaches that reach a, all read
+  on the parent, since no such path uses the new arc.  C is the only
+  leaf SCC M can contain (a leaf SCC reaches nothing outside itself,
+  and all of M reaches a), and M is a leaf SCC iff no arc of the parent
+  leaves it.
 Every other SCC keeps its vertices and out-arcs, hence whether it is a
 leaf.  A child never holds its parent graph, so no chain of graphs stays
 alive.
@@ -50,11 +54,11 @@ def _check_arc(i: int, j: int, vertices, dummies) -> None:
 class WorkGraph:
     def __init__(self, vertices, arcs, weight, dummies=()):
         self.vertices: tuple[int, ...] = tuple(sorted(vertices))
-        self.arcs: frozenset[tuple[int, int]] = frozenset(arcs)
+        arcs = frozenset(arcs)
         self.weight: dict[int, int] = dict(weight)
         self.dummies: frozenset[int] = frozenset(dummies)
         vs = set(self.vertices)
-        for (i, j) in self.arcs:
+        for (i, j) in arcs:
             _check_arc(i, j, vs, self.dummies)
         for d in self.dummies:
             if self.weight.get(d, 0) != 0:
@@ -63,7 +67,7 @@ class WorkGraph:
         self._in: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
         out: dict[int, list[int]] = {}
         inn: dict[int, list[int]] = {}
-        for (i, j) in self.arcs:
+        for (i, j) in arcs:
             out.setdefault(i, []).append(j)
             inn.setdefault(j, []).append(i)
         for v, ns in out.items():
@@ -72,36 +76,42 @@ class WorkGraph:
             self._in[v] = tuple(sorted(ns))
         self._init_derived(None)
 
-    def _init_derived(self, base) -> None:
-        # Derived structure, filled on first query (see the module
+    def _init_derived(self, leaf_sets) -> None:
+        # Derived structure, filled on first query unless the step that
+        # made this graph handed over its leaf SCCs (see the module
         # docstring); _classes holds semi leaf-SCC classes for Algorithm 2.
         self._scc: SccPartition | None = None
-        self._leaf_sets: tuple[frozenset[int], ...] | None = None
+        self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
         self._leaves: frozenset[int] | None = None
         self._cover: tuple | None = None
         self._preds: dict[int, frozenset[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
         self._classes: dict = {}
-        # (parent's leaf SCCs, step) until this graph's leaf SCCs are derived
-        self._base: tuple[tuple, tuple | None] | None = base
 
-    def _child(self, step: tuple | None, arcs, out, inn, vertices=None, weight=None,
+    def _child(self, step: tuple | None, out, inn, vertices=None, weight=None,
                dummies=None) -> WorkGraph:
-        """A graph one step from this one, on the given patched adjacency;
-        step None means the child equals this graph."""
+        """A graph one step from this one, on the given patched adjacency:
+        step is (a,) for a prune of a or a dummy under a, (a, b) for a new
+        arc, None when the child equals this graph."""
         g = WorkGraph.__new__(WorkGraph)
         g.vertices = self.vertices if vertices is None else vertices
-        g.arcs = arcs
         g.weight = self.weight if weight is None else weight
         g.dummies = self.dummies if dummies is None else dummies
         g._out, g._in = out, inn
-        g._init_derived(None if self._leaf_sets is None else (self._leaf_sets, step))
+        leaf_sets = self._leaf_sets
+        if step is not None and leaf_sets is not None:
+            leaf_sets = _stepped_leaf_sccs(self, *step)
+        g._init_derived(leaf_sets)
         return g
 
     @classmethod
     def from_instance(cls, inst: Instance) -> WorkGraph:
         return cls(range(1, inst.n + 1), inst.arcs,
                    {v: inst.q[v - 1] for v in range(1, inst.n + 1)})
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((v, w) for v, ns in self._out.items() for w in ns)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
@@ -121,44 +131,41 @@ class WorkGraph:
     def with_arc(self, i: int, j: int) -> WorkGraph:
         _check_arc(i, j, self._out, self.dummies)
         if j in self._out[i]:
-            return self._child(None, self.arcs, self._out, self._in)
+            return self._child(None, self._out, self._in)
         out = dict(self._out)
         out[i] = tuple(sorted(out[i] + (j,)))
         inn = dict(self._in)
         inn[j] = tuple(sorted(inn[j] + (i,)))
-        return self._child(("arc", i, j), self.arcs | {(i, j)}, out, inn)
+        return self._child((i, j), out, inn)
 
     def without_out_arcs(self, v: int) -> WorkGraph:
         outs = self._out.get(v, ())
         if not outs:
-            return self._child(None, self.arcs, self._out, self._in)
+            return self._child(None, self._out, self._in)
         out = dict(self._out)
         out[v] = ()
         inn = dict(self._in)
         for w in outs:
             inn[w] = tuple(x for x in inn[w] if x != v)
-        return self._child(("prune", v), self.arcs.difference([(v, w) for w in outs]),
-                           out, inn)
+        return self._child((v,), out, inn)
 
     def with_new_dummy(self, source: int) -> tuple[WorkGraph, int]:
         """Add a fresh dummy vertex and an arc source -> dummy."""
         d = max(self.vertices) + 1
-        vertices = self.vertices + (d,)
-        _check_arc(source, d, vertices, self.dummies)
         out = dict(self._out)
-        out[source] += (d,)  # d is the largest vertex, so this stays sorted
         out[d] = ()
+        _check_arc(source, d, out, self.dummies)
+        out[source] += (d,)  # d is the largest vertex, so this stays sorted
         inn = dict(self._in)
         inn[d] = (source,)
-        g = self._child(("dummy", source, d), self.arcs | {(source, d)}, out, inn,
-                        vertices=vertices, weight={**self.weight, d: 0},
-                        dummies=self.dummies | {d})
+        g = self._child((source,), out, inn, vertices=self.vertices + (d,),
+                        weight={**self.weight, d: 0}, dummies=self.dummies | {d})
         return g, d
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WorkGraph)
                 and self.vertices == other.vertices
-                and self.arcs == other.arcs
+                and self._out == other._out
                 and self.weight == other.weight
                 and self.dummies == other.dummies)
 
@@ -194,22 +201,20 @@ def _is_leaf(g: WorkGraph, comp: frozenset[int]) -> bool:
     return len(comp) >= 2 and all(w in comp for v in comp for w in g._out[v])
 
 
-def _child_leaf_sccs(g: WorkGraph, parent: tuple, step: tuple | None) -> tuple:
-    """g's leaf SCCs from those of the graph one step before it, by the
-    rules in the module docstring."""
-    if step is None:
-        return parent
-    a = step[1]
-    k = next((k for k, c in enumerate(parent) if a in c), None)
-    if step[0] == "arc":
-        b = step[2]
-        if k is not None and b in parent[k]:
-            return parent
+def _stepped_leaf_sccs(g: WorkGraph, a: int, b: int | None = None) -> tuple:
+    """The leaf SCCs of g's child by one step, from g's own and with no
+    child built, by the rules in the module docstring: b None for a prune
+    of a or a new dummy under a, else a new arc (a, b) not in g."""
+    leafs = _leaf_sccs(g)
+    k = next((k for k, c in enumerate(leafs) if a in c), None)
+    if b is not None:
+        if k is not None and b in leafs[k]:
+            return leafs
         fwd = reach(g, b)
         if a in fwd:
-            # the vertices reachable from b that reach a
-            merged = {a}
-            stack = [a]
+            # a, b and the vertices reachable from b that reach a
+            merged = {a, b}
+            stack = [a, b]
             while stack:
                 for x in g._in[stack.pop()]:
                     if x in fwd and x not in merged:
@@ -217,10 +222,10 @@ def _child_leaf_sccs(g: WorkGraph, parent: tuple, step: tuple | None) -> tuple:
                         stack.append(x)
             merged = frozenset(merged)
             if _is_leaf(g, merged):
-                leafs = [c for c in parent if a not in c]
-                insort(leafs, merged, key=min)
-                return tuple(leafs)
-    return parent if k is None else parent[:k] + parent[k + 1:]
+                stepped = [c for c in leafs if a not in c]
+                insort(stepped, merged, key=min)
+                return tuple(stepped)
+    return leafs if k is None else leafs[:k] + leafs[k + 1:]
 
 
 def _strong_components(out, roots) -> list[frozenset[int]]:
@@ -276,19 +281,15 @@ def _strong_components(out, roots) -> list[frozenset[int]]:
 def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
     """The leaf SCCs by smallest contained vertex, as a new list.  A root
     graph reads them from its SCC partition; a graph one step from a graph
-    whose leaf SCCs were known updates its parent's by the three rules of
-    the module docstring, with no Tarjan run."""
+    whose leaf SCCs were known got its own at the step, by the three rules
+    of the module docstring, with no Tarjan run."""
     return list(_leaf_sccs(g))
 
 
 def _leaf_sccs(g: WorkGraph) -> tuple[frozenset[int], ...]:
     """leaf_scc_sets without the copy, computed once per graph."""
     if g._leaf_sets is None:
-        if g._base is None:
-            g._leaf_sets = tuple(scc_partition(g).leaf_components())
-        else:
-            g._leaf_sets = _child_leaf_sccs(g, *g._base)
-            g._base = None
+        g._leaf_sets = tuple(scc_partition(g).leaf_components())
     return g._leaf_sets
 
 

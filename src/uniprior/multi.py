@@ -22,7 +22,8 @@ from itertools import chain, islice
 from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
                        message_class, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import WorkGraph, _closure, _leaf_sccs, leaf_vertices, reach, v_out
+from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, leaf_vertices,
+                    reach, v_out)
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -244,50 +245,59 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
 
 def _child_score(g: WorkGraph, key, vo: int, nleaf: int, kind: StepKind, x):
     """The state key, v_out and leaf-SCC count of g's child by step
-    (kind, x), from g's own (key, vo, nleaf), and the child graph if
-    scoring it had to build it.
+    (kind, x), from g's own (key, vo, nleaf), with no graph built.
 
-    A key is (real arcs, dummy sources), both frozensets: a vertex sources
-    at most one dummy arc, since it gets one only while in a leaf SCC and
-    only a prune takes it away, after which the vertex stays a leaf.
+    A key is (pruned vertices, appended arcs whose source is not pruned,
+    dummy sources), three frozensets that grow with depth:
     - dummy append under x: x's leaf SCC C stops being a leaf, v_out stays;
     - prune of x in C: x becomes a leaf and no part of C is a leaf SCC,
       since each other vertex of C still reaches x, now a sink;
-    - witness append (a, b): C stops being a leaf unless b reaches a; then
-      b's side merges into C, and the child's leaf SCCs say whether the
-      merged SCC is a leaf.
+    - witness append (a, b): the leaf SCCs follow from g's
+      (``_stepped_leaf_sccs``): C stops being a leaf unless b reaches a,
+      and then the SCC that b's side merges into C may be a leaf.
     """
-    real, sources = key
+    pruned, appended, sources = key
     if kind is StepKind.APPEND_DISCONNECTED:
-        return (real, sources | {x}), vo, nleaf - 1, None
+        return (pruned, appended, sources | {x}), vo, nleaf - 1
     if kind is StepKind.APPEND_DEGENERATED:
         a, b = x.v_inside, x.target
-        key = (real | {(a, b)}, sources)
-        if a not in reach(g, b):
-            return key, vo, nleaf - 1, None
-        child = _apply(g, kind, x)
-        return key, vo, len(_leaf_sccs(child)), child
-    # x's out-arcs lie inside its leaf SCC, so none goes to a dummy
-    return (real.difference([(x, w) for w in g.out_neighbors(x)]), sources), \
-        vo - 1, nleaf - 1, None
+        return ((pruned, appended | {(a, b)}, sources), vo,
+                len(_stepped_leaf_sccs(g, a, b)))
+    return ((pruned | {x}, frozenset(e for e in appended if e[0] != x), sources),
+            vo - 1, nleaf - 1)
 
 
 def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> ExhaustiveResult:
     """Maximize the final non-leaf count over every admissible sequence:
     which leaf SCC to touch, which vertex to prune, and which degeneracy
     witness or target to append with all branch.  States reconverge, so
-    results are memoized under a dummy-insensitive canonical key: the set
-    of real arcs and the set of dummy sources.
+    results are memoized under a dummy-insensitive canonical key: the
+    pruned vertices, the appended arcs whose source is not pruned, and
+    the dummy sources.  Over reachable states this key is one-to-one
+    with (real arcs, dummy sources), so memo hits are those of a key of
+    the whole real-arc set:
+    - only a prune removes arcs, and it removes all of a vertex's; a
+      pruned vertex sat in a leaf SCC, so had root out-arcs, and stays a
+      sink, since only leaf-SCC vertices gain arcs;
+    - an appended arc (a, b) leaves a's leaf SCC, so it is no arc of its
+      parent, nor of the root, as a's root arcs go only with a prune;
+    - a vertex sources at most one dummy arc and is never pruned: it gets
+      the arc only in a leaf SCC, and the arc to a sink keeps it out of
+      every leaf SCC after.
+    So the real arcs are the root arcs whose source is not pruned plus
+    the appended ones, and back: the pruned vertices are those with root
+    out-arcs and none now, the appended arcs the real arcs not in the
+    root.  A key costs O(depth) to build, not O(m).
 
     Each child is scored from its parent before any graph is built: its
     key is the parent's key patched by the step, and its v_out and
     leaf-SCC count follow from the parent's (``_child_score``).  Only a
-    child that is searched, or a witness append that merges SCCs, is
-    built.  A memo hit takes the memo value, a grounded child its v_out
-    (grounded children get no memo entry).  Once the state cap is hit,
-    the other children are finished by prune-everything completions
-    (v_out minus the leaf-SCC count), which keeps the reported bound
-    sound but possibly loose; the result is flagged inexact.
+    child that is searched is built.  A memo hit takes the memo value, a
+    grounded child its v_out (grounded children get no memo entry).
+    Once the state cap is hit, the other children are finished by
+    prune-everything completions (v_out minus the leaf-SCC count), which
+    keeps the reported bound sound but possibly loose; the result is
+    flagged inexact.
 
     A searched state stops as soon as its best child value reaches its
     ceiling, v_out minus its number of message-connected leaf SCCs; the
@@ -324,9 +334,9 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
     # [graph, key, v_out, leaf-SCC count, its steps, best so far, ceiling]
     stack: list[list] = []
 
-    def enter(key, vo: int, nleaf: int, g: WorkGraph | None, parent=None, step=None):
+    def enter(key, vo: int, nleaf: int, parent=None, step=None):
         """The state's value if it needs no search, else None with its
-        frame pushed; g is the state's graph, or None to build it from
+        frame pushed; the state's graph is g0 at the root, else built from
         parent by step."""
         nonlocal states, truncated
         if not nleaf:
@@ -337,15 +347,13 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
             truncated = True
             return vo - nleaf  # finish by pruning everything
         states += 1
-        if g is None:
-            g = _apply(parent, *step)
+        g = g0 if parent is None else _apply(parent, *step)
         steps = chain.from_iterable(_steps(g, u, scc) for scc in _leaf_sccs(g))
         ceiling = vo - len(_message_connected_leaf_sccs(g, u))
         stack.append([g, key, vo, nleaf, steps, 0, ceiling])
         return None
 
-    # an instance's graph has no dummies
-    val = enter((g0.arcs, frozenset()), v_out(g0), len(_leaf_sccs(g0)), g0)
+    val = enter((frozenset(),) * 3, v_out(g0), len(_leaf_sccs(g0)))
     while stack:
         frame = stack[-1]
         step = next(frame[4], None) if frame[5] < frame[6] else None

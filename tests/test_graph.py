@@ -268,6 +268,15 @@ def _apply(g, step):
     return g.with_new_dummy(step[1])[0]
 
 
+def _stepped_arcs(g, step):
+    """g's arcs after step, read from g's arcs."""
+    if step[0] == "arc":
+        return g.arcs | {step[1:]}
+    if step[0] == "prune":
+        return frozenset(arc for arc in g.arcs if arc[0] != step[1])
+    return g.arcs | {(step[1], max(g.vertices) + 1)}
+
+
 def _assert_like_fresh(g):
     fresh = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
     assert g == fresh
@@ -295,9 +304,13 @@ def test_derivation_chains_answer_like_fresh_graphs():
                 g = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
             cases = _step_cases(g)
             case = rng.choice(sorted(cases))
-            child = _apply(g, rng.choice(cases[case]))
+            step = rng.choice(cases[case])
+            child = _apply(g, step)
             seen[case] += 1
-            inherited[case] += child._base is not None
+            inherited[case] += child._leaf_sets is not None  # set at the step
+            assert child.arcs == _stepped_arcs(g, step)
+            assert child == WorkGraph(child.vertices, _stepped_arcs(g, step), child.weight,
+                                      child.dummies)
             for h in ((child, g) if rng.random() < 0.5 else (g, child)):
                 _assert_like_fresh(h)
             g = child
@@ -355,7 +368,8 @@ def test_inherited_leaf_sccs_match_brute_force_and_reference_partition():
             case = rng.choice(sorted(cases))
             step = rng.choice(cases[case])
             child = _apply(g, step)
-            assert child._base is not None
+            assert child._leaf_sets is not None  # set at the step, from g's
+            assert child.arcs == _stepped_arcs(g, step)
             part = reference_child_partition(child, part, _recorded_step(g, step))
             assert list(part.components) == brute_sccs(child)
             leafs = leaf_scc_sets(child)
@@ -370,6 +384,30 @@ def test_inherited_leaf_sccs_match_brute_force_and_reference_partition():
                          "prune-leaf-scc", "prune-non-leaf", "prune-arcless",
                          "dummy-leaf-scc", "dummy-other"}
     assert min(seen.values()) >= 50, seen
+
+
+def test_stepped_leaf_sccs_match_the_built_child():
+    # every step case, on seeded chains: the leaf SCCs read from the
+    # parent's, with no child built, are those of the built child
+    rng = random.Random(53)
+    seen: Counter = Counter()
+    for _ in range(300):
+        g = rand_graph(rng, rng.randint(2, 9))
+        for _ in range(6):
+            cases = _chain_cases(g)
+            for case in sorted(cases):
+                step = rng.choice(cases[case])
+                child = _apply(WorkGraph(g.vertices, g.arcs, g.weight, g.dummies), step)
+                assert child._leaf_sets is None  # the fresh parent's were unknown
+                assert list(graph._stepped_leaf_sccs(g, *step[1:])) == \
+                    brute_leaf_scc_sets(child)
+                seen[case] += 1
+            g = _apply(g, rng.choice(cases[rng.choice(sorted(cases))]))
+    assert set(seen) == {"arc-duplicate", "arc-inside-leaf", "arc-inside-non-leaf",
+                         "arc-merging", "arc-merging-leaf", "arc-non-merging",
+                         "prune-leaf-scc", "prune-non-leaf", "prune-arcless",
+                         "dummy-leaf-scc", "dummy-other"}
+    assert min(seen.values()) >= 100, seen
 
 
 def test_cli_runs_tarjan_once_per_root_graph(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       TightReason, WorkGraph, bound_multi, classify_leaf_scc,
                       derive_message_graph, encode_multi,
                       exhaustive_lower_bound, find_connecting_trees,
-                      is_grounded, leaf_scc_sets, oracle_min_linear,
+                      is_grounded, leaf_scc_sets, oracle_min_linear, reach,
                       run_algorithm2, senders_pairwise_disjoint, solve_single,
                       step_limit, symbol, v_out, verify_linear)
 from uniprior.multi import _apply, _child_score, _spanning_tree_edges, _steps
@@ -353,6 +353,15 @@ def _built_key(g):
     return (frozenset(a for a in g.arcs if a[1] not in g.dummies), frozenset(sources))
 
 
+def _state_key(root, g):
+    """The search's key of g, read from g and the root graph: (pruned
+    vertices, appended arcs, dummy sources)."""
+    real = frozenset(a for a in g.arcs if a[1] not in g.dummies)
+    return (frozenset(v for v in root.vertices
+                      if root.out_neighbors(v) and not g.out_neighbors(v)),
+            real - root.arcs, _built_key(g)[1])
+
+
 def test_child_scores_match_the_built_child():
     # every step of every leaf SCC along random step sequences: the key,
     # v_out and leaf-SCC count derived from the parent are the child's
@@ -360,21 +369,57 @@ def test_child_scores_match_the_built_child():
     checked = merged = 0
     for k in range(500):
         inst = rand_cyclic(rng, n_max=9) if k % 3 else rand_multi(rng, n_max=8)
-        g, u = graph_and_u(inst)
+        root, u = graph_and_u(inst)
+        g = root
         while sccs := leaf_scc_sets(g):
-            key, vo = _built_key(g), v_out(g)
+            key, vo = _state_key(root, g), v_out(g)
             steps = [st for scc in sccs for st in _steps(g, u, scc)]
             for kind, x in steps:
-                child_key, child_vo, nleaf, built = _child_score(g, key, vo, len(sccs), kind, x)
+                child_key, child_vo, nleaf = _child_score(g, key, vo, len(sccs), kind, x)
                 child = _apply(g, kind, x)
-                assert built is None or built == child
-                merged += built is not None  # a witness append merged SCCs
-                assert child_key == _built_key(child)
+                # a witness append whose target reaches its source merges SCCs
+                merged += (kind is StepKind.APPEND_DEGENERATED
+                           and x.v_inside in reach(g, x.target))
+                assert child_key == _state_key(root, child)
                 assert child_vo == v_out(child)
                 assert nleaf == len(leaf_scc_sets(child)) == len(brute_leaf_scc_sets(child))
                 checked += 1
             g = _apply(g, *rng.choice(steps))
     assert checked >= 3000 and merged >= 100
+
+
+def test_state_keys_are_canonical():
+    # every state reachable by some step sequence, under a budget, along
+    # every sequence that reaches it: keys patched step by step are equal
+    # iff the states' real arcs and dummy sources are
+    rng = random.Random(151)
+    states = reconverged = dropped = 0
+    for k in range(150):
+        inst = (rand_cyclic(rng, n_max=10) if k % 3 == 0 else rand_multi(rng, n_max=9)
+                if k % 3 == 1 else rand_triples(rng, t_max=3))
+        root, u = graph_and_u(inst)
+        by_key: dict = {}
+        by_arcs: dict = {}
+        empty = frozenset()
+        stack = [(root, (empty, empty, empty))]
+        while stack and len(by_key) < 400:
+            g, key = stack.pop()
+            arcs = _built_key(g)
+            if key in by_key:
+                assert by_key[key] == arcs, inst
+                reconverged += 1
+                continue
+            assert arcs not in by_arcs, inst
+            by_key[key], by_arcs[arcs] = arcs, key
+            sccs = leaf_scc_sets(g)
+            for kind, x in (st for scc in sccs for st in _steps(g, u, scc)):
+                child_key = _child_score(g, key, v_out(g), len(sccs), kind, x)[0]
+                # a prune that takes an appended arc out of the key
+                dropped += len(child_key[1]) < len(key[1])
+                stack.append((_apply(g, kind, x), child_key))
+        states += len(by_key)
+    assert states >= 10000 and reconverged >= 12000 and dropped >= 3000, \
+        (states, reconverged, dropped)
 
 
 def collect_steps(rng, rounds):
