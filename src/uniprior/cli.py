@@ -114,11 +114,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bound(args) -> int:
     inst = _load_valid_instance(args.instance)
-    try:
-        report = multi.bound_multi(inst, exhaustive=args.exhaustive,
-                                   max_states=args.max_states)
-    except multi.BinaryRequiredError as e:
-        raise CliError(str(e)) from e
+    report = multi.bound_multi(inst, exhaustive=args.exhaustive, max_states=args.max_states)
     partial = ((report.exhaustive is not None and not report.exhaustive.exact)
                or not report.trees_exact)
     lr = report.lower_report
@@ -151,11 +147,7 @@ def _cmd_encode(args) -> int:
     if len(inst.senders) == 1:
         code = single.encode_single(WorkGraph.from_instance(inst))
     else:
-        try:
-            trees = multi.find_connecting_trees(inst).trees
-            code = multi.encode_multi(inst, trees)
-        except multi.BinaryRequiredError as e:
-            raise CliError(str(e)) from e
+        code = multi.encode_multi(inst, multi.find_connecting_trees(inst).trees)
     try:
         with open(args.output, "w") as f:
             f.write(serialize_code(code))
@@ -217,10 +209,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_trace(args) -> int:
     inst = _load_valid_instance(args.instance)
-    try:
-        lr = multi.run_algorithm2(inst)
-    except multi.BinaryRequiredError as e:
-        raise CliError(str(e)) from e
+    lr = multi.run_algorithm2(inst)
     if args.format == "json":
         _emit_json({"command": "trace", "bound": lr.bound,
                     "v_out": lr.v_out_original, "connected": lr.connected_count,
@@ -323,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {_printable(e)}", file=sys.stderr)
         return e.status
+    except multi.BinaryRequiredError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

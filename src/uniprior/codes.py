@@ -39,17 +39,6 @@ class LinearIndexCode(_Frozen):
     def __init__(self, symbols: tuple[CodeSymbol, ...]):
         object.__setattr__(self, "symbols", symbols)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbols == other.symbols
-
-    def __hash__(self):
-        return hash((self.symbols,))
-
-    def __repr__(self):
-        return f"LinearIndexCode(symbols={self.symbols!r})"
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -369,8 +358,8 @@ def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
     that no symbol touches is in no row of the span, so it decodes at
     none: both are settled once per wanted message, the second with no
     big-integer work.  The rest take one reduction by K per receiver, and
-    K is built by leading-bit elimination only for a receiver that has
-    such a bit to test."""
+    K is built, as a descending echelon tuple like the oracle's A_r, only
+    for a receiver that has such a bit to test."""
     vecs, touched = _checked_vectors(inst, code)
     rows = Gf2Basis(vecs).rows
     offsets, _ = bit_layout(inst)
@@ -388,7 +377,7 @@ def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
             if t:
                 bits.append((c - base, t))
     failures = []
-    r = lead = keep = None
+    r = k = keep = None
     for (rcv, m) in sorted((j, i) for (i, j) in inst.arcs):
         bits = open_bits[m]
         if not bits or m == rcv:  # a receiver knows its own bits
@@ -397,19 +386,15 @@ def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
             r = rcv
             start = offsets[r - 1]
             keep = ~(((1 << q[r - 1]) - 1) << start)
-            lead = {}
-            _extend(lead, [rows[p] & keep for p in range(start, start + q[r - 1]) if p in rows])
+            k = ()
+            for p in range(start, start + q[r - 1]):
+                if p in rows:
+                    x = _reduced(k, rows[p] & keep)
+                    if x:
+                        k = tuple(sorted(k + (x,), reverse=True))
         for b, t in bits:
-            if t is not None:
-                t &= keep
-                while t:
-                    row = lead.get(t.bit_length() - 1)
-                    if row is None:
-                        break
-                    t ^= row
-                if not t:
-                    continue
-            failures.append((r, (m, b)))
+            if t is None or _reduced(k, t & keep):
+                failures.append((r, (m, b)))
     return VerifyReport(valid=not failures, failures=tuple(failures))
 
 
@@ -482,20 +467,6 @@ def _candidate_vectors(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[i
         cands += [(si, v) for v in sorted(set(vecs) - seen)]
         seen.update(vecs)
     return cands
-
-
-def _extend(lead: dict[int, int], vecs) -> int:
-    """Insert vecs into the GF(2) basis ``lead`` (leading bit -> row) by
-    elimination on leading bits; return its new rank."""
-    for v in vecs:
-        while v:
-            top = v.bit_length() - 1
-            row = lead.get(top)
-            if row is None:
-                lead[top] = v
-                break
-            v ^= row
-    return len(lead)
 
 
 def _reduced(rows: tuple[int, ...], v: int) -> int:

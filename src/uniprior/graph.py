@@ -13,7 +13,7 @@ forward reach.  A graph made from another by one step (``with_arc``,
 ``without_out_arcs``, ``with_new_dummy``) patches its parent's adjacency
 and checks only the new arc.  If the parent's leaf SCCs (SCCs of >= 2
 vertices that no arc leaves) are known, the step hands the child its
-own, derived from the parent's with no Tarjan run and no child built
+own, derived from the parent's with no SCC pass and no child built
 (``_stepped_leaf_sccs``).  Let C be the SCC of the step's source vertex
 a:
 - prune of a: C is no leaf SCC any more, and no new one appears.  A
@@ -185,12 +185,12 @@ class SccPartition(namedtuple("SccPartition", "components leaf_flags")):
 
 
 def scc_partition(g: WorkGraph) -> SccPartition:
-    """Tarjan's algorithm, iterative, run once per graph on first query.
+    """Kosaraju's two passes, iterative, run once per graph on first query.
     Components are listed by smallest contained vertex so traces are
     reproducible.  Exact for any graph; the leaf SCCs of a graph derived
     by one step come from its parent's instead (``leaf_scc_sets``)."""
     if g._scc is None:
-        comps = _strong_components(g._out, g.vertices)
+        comps = _strong_components(g._out, g._in, g.vertices)
         comps.sort(key=min)
         g._scc = SccPartition(components=tuple(comps),
                               leaf_flags=tuple(_is_leaf(g, c) for c in comps))
@@ -228,53 +228,41 @@ def _stepped_leaf_sccs(g: WorkGraph, a: int, b: int | None = None) -> tuple:
     return leafs if k is None else leafs[:k] + leafs[k + 1:]
 
 
-def _strong_components(out, roots) -> list[frozenset[int]]:
-    """Tarjan's SCCs of the graph given by out (vertex -> sorted out-
-    neighbors), searched from roots in order."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    comps: list[frozenset[int]] = []
-
+def _strong_components(out, inn, roots) -> list[frozenset[int]]:
+    """Kosaraju's SCCs of the graph given by out and its mirror inn
+    (vertex -> neighbors), searched from roots in order.  A DFS lists the
+    vertices by finishing time; then, latest first, each vertex not yet
+    placed collects one component by walking inn over unplaced vertices."""
+    seen: set[int] = set()
+    order: list[int] = []
     for root in roots:
-        if root in index:
+        if root in seen:
             continue
-        # explicit DFS stack of (vertex, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            ns = out[v]
-            for k in range(pi, len(ns)):
-                w = ns[k]
-                if w not in index:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recurse = True
+        seen.add(root)
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(out[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                stack.pop()
+                order.append(v)
+    placed: set[int] = set()
+    comps: list[frozenset[int]] = []
+    for v in reversed(order):
+        if v in placed:
+            continue
+        placed.add(v)
+        comp = [v]
+        for u in comp:  # comp grows as it is walked
+            for w in inn[u]:
+                if w not in placed:
+                    placed.add(w)
+                    comp.append(w)
+        comps.append(frozenset(comp))
     return comps
 
 
@@ -282,7 +270,7 @@ def leaf_scc_sets(g: WorkGraph) -> list[frozenset[int]]:
     """The leaf SCCs by smallest contained vertex, as a new list.  A root
     graph reads them from its SCC partition; a graph one step from a graph
     whose leaf SCCs were known got its own at the step, by the three rules
-    of the module docstring, with no Tarjan run."""
+    of the module docstring, with no SCC pass."""
     return list(_leaf_sccs(g))
 
 

@@ -21,9 +21,28 @@ class _Frozen:
     """Refuses assignment to its attributes: ``__init__`` and the memos
     write through ``object.__setattr__``.  ``_fields`` names what the
     constructor takes, in order, which is also what copies and pickles
-    carry and what the JSON writer prints."""
+    carry and what the JSON writer prints.  The first ``_value_fields``
+    of them (all when None) are the value's identity: equality, hash and
+    repr see those alone."""
 
     __slots__ = ()
+    _value_fields: int | None = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields[:self._value_fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = self._fields[:self._value_fields]
+        return (f"{type(self).__name__}("
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in fields) + ")")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -44,26 +63,12 @@ class Instance(_Frozen):
 
     __slots__ = ("n", "q", "arcs", "senders", "notes", "_graphs")
     _fields = ("n", "q", "arcs", "senders", "notes")
+    _value_fields = 4
 
     def __init__(self, n: int, q: tuple[int, ...], arcs: tuple[tuple[int, int], ...],
                  senders: tuple[tuple[int, ...], ...], notes: tuple[str, ...] = ()):
         for name, value in zip(self.__slots__, (n, q, arcs, senders, notes, None)):
             object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return self.n, self.q, self.arcs, self.senders
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Instance(n={self.n!r}, q={self.q!r}, arcs={self.arcs!r}, "
-                f"senders={self.senders!r})")
 
     def wants(self, receiver: int) -> list[int]:
         """Messages wanted by a receiver, ascending."""
@@ -93,16 +98,8 @@ class MessageGraph(_Frozen):
                                                 None, None, None, {})):
             object.__setattr__(self, name, value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.senders == other.senders
-
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return f"MessageGraph(n={self.n!r}, senders={self.senders!r})"
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -72,8 +72,8 @@ def reference_child_partition(g: WorkGraph, parent: SccPartition,
     None when g equals its parent.
 
     Only the SCC C of the step's source vertex a can change:
-    - prune of a: only C can split; Tarjan runs on C's arcs alone, and no
-      part of C is a leaf.
+    - prune of a: only C can split; the SCC pass runs on C's arcs alone,
+      and no part of C is a leaf.
     - new arc (a, b): inside C nothing changes.  Across SCCs, C stops
       being a leaf unless b reaches a; then every vertex on a path from
       b to a joins one SCC with C.
@@ -89,7 +89,8 @@ def reference_child_partition(g: WorkGraph, parent: SccPartition,
     if kind == "prune":
         del pairs[k]
         out = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
-        for c in _strong_components(out, sorted(comp)):
+        inn = {v: tuple(w for w in g.in_neighbors(v) if w in comp) for v in comp}
+        for c in _strong_components(out, inn, sorted(comp)):
             insort(pairs, (c, False), key=lambda pair: min(pair[0]))
     elif kind == "dummy":
         pairs[k] = (comp, False)

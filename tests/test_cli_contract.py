@@ -282,3 +282,14 @@ def test_surrogate_field_name_is_escaped_in_text(tmp_path):
     # JSON output keeps its own escape of the field name
     status, out, _, _ = _call(["validate", str(inst), "--format", "json"])
     assert (status, json.loads(out)["violations"]) == (1, ["unknown field(s): \ud800"])
+
+
+def test_multi_sender_commands_need_one_bit_messages(tmp_path):
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(_base(q=[1, 2, 1, 1]))
+    for argv in (["bound", str(inst)], ["encode", str(inst), "-o", str(out)],
+                 ["trace", str(inst)]):
+        for fmt in ("text", "json"):
+            assert _call([*argv, "--format", fmt])[:3] == (
+                1, "", "error: all messages must be one bit long here\n"), (argv, fmt)
+    assert not out.exists()

@@ -193,6 +193,25 @@ def test_empty_code_suffices_when_nothing_is_wanted():
     assert rep.valid and rep.failures == ()
 
 
+def test_verify_eliminates_within_a_receivers_own_rows():
+    # both rows are pivoted on receiver 2's own bits and equal x1[1] off
+    # them, so the second reduces to 0 in receiver 2's basis
+    inst = make_instance(2, [[1, 2]], [[1, 2]], q=[1, 2])
+    code = LinearIndexCode((symbol(1, (1, 1), (2, 1)), symbol(1, (1, 1), (2, 2))))
+    rows = Gf2Basis(symbol_vectors(inst, code)).rows
+    assert sorted(rows) == [1, 2] and rows[1] & 1 == rows[2] & 1 == 1
+    assert verify_linear(inst, code).valid and verify_exhaustive(inst, code).valid
+    for sym in code.symbols:  # either symbol alone decodes x1[1]
+        assert verify_linear(inst, LinearIndexCode((sym,))).valid
+    assert verify_linear(inst, LinearIndexCode(())).failures == ((2, (1, 1)),)
+    # off receiver 3's own bits its rows are x1[1]^x2[1] and x2[1]: the
+    # second reduces by the first to x1[1], and decoding x1[1] takes both
+    inst = make_instance(3, [[1, 3], [2, 3]], [[1, 2, 3]], q=[1, 1, 2])
+    code = LinearIndexCode((symbol(1, (1, 1), (2, 1), (3, 1)), symbol(1, (2, 1), (3, 2))))
+    assert verify_linear(inst, code).valid and verify_exhaustive(inst, code).valid
+    assert verify_linear(inst, LinearIndexCode(code.symbols[1:])).failures == ((3, (1, 1)),)
+
+
 def test_verify_reports_first_failures_in_receiver_order():
     naive = LinearIndexCode((symbol(1, (1, 1), (2, 1)), symbol(2, (3, 1), (4, 1))))
     split = make_instance(4, [[1, 3], [4, 2], [1, 2], [2, 1], [3, 4], [4, 3]],

@@ -99,6 +99,47 @@ def test_partition_matches_brute_force():
         assert sorted(seen) == list(g.vertices)
 
 
+def test_strong_components_match_brute_force():
+    # the kernel on its own, from roots in any order: seeded graphs, their
+    # children by every kind of step (dummies included), and the induced
+    # adjacency of each SCC after a prune, as reference_child_partition
+    # passes it
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(200):
+        g = rand_graph(rng, rng.randint(1, 9))
+        for _ in range(4):
+            roots = list(g.vertices)
+            rng.shuffle(roots)
+            comps = graph._strong_components(g._out, g._in, roots)
+            assert sorted(comps, key=min) == brute_sccs(g)
+            for comp in brute_sccs(g):
+                a = rng.choice(sorted(comp))
+                sub = g.without_out_arcs(a)
+                out = {v: tuple(w for w in sub.out_neighbors(v) if w in comp) for v in comp}
+                inn = {v: tuple(w for w in sub.in_neighbors(v) if w in comp) for v in comp}
+                induced = WorkGraph(comp, [(v, w) for v in comp for w in out[v]],
+                                    {v: 1 for v in comp})
+                assert sorted(graph._strong_components(out, inn, sorted(comp)), key=min) == \
+                    brute_sccs(induced)
+                checked += 1
+            cases = _step_cases(g)
+            g = _apply(g, rng.choice(cases[rng.choice(sorted(cases))]))
+    assert checked > 2000, checked
+
+
+def test_strong_components_need_no_recursion():
+    n = 20_000
+    path_out = {v: (v + 1,) if v < n else () for v in range(1, n + 1)}
+    path_in = {v: (v - 1,) if v > 1 else () for v in range(1, n + 1)}
+    comps = graph._strong_components(path_out, path_in, range(1, n + 1))
+    assert sorted(comps, key=min) == [frozenset((v,)) for v in range(1, n + 1)]
+    cycle_out = {v: (v % n + 1,) for v in range(1, n + 1)}
+    cycle_in = {v: ((v - 2) % n + 1,) for v in range(1, n + 1)}
+    assert graph._strong_components(cycle_out, cycle_in, range(1, n + 1)) == \
+        [frozenset(range(1, n + 1))]
+
+
 def test_condensation_is_acyclic():
     rng = random.Random(13)
     for _ in range(200):
@@ -293,7 +334,7 @@ def _assert_like_fresh(g):
 def test_derivation_chains_answer_like_fresh_graphs():
     # 240 chains of 10 random steps; each step's parent has its partition
     # computed (the child inherits it) or is a fresh copy (the child runs
-    # Tarjan), and the child is queried before or after its parent
+    # the SCC pass), and the child is queried before or after its parent
     rng = random.Random(41)
     seen: Counter = Counter()
     inherited: Counter = Counter()
@@ -412,8 +453,8 @@ def test_stepped_leaf_sccs_match_the_built_child():
 
 def test_cli_runs_tarjan_once_per_root_graph(tmp_path, monkeypatch, capsys):
     # bound, bound --exhaustive and solve build one graph from the instance
-    # and derive every other graph state from it: Tarjan runs once, on the
-    # built graph's adjacency, and never on a derived graph
+    # and derive every other graph state from it: the SCC pass runs once,
+    # on the built graph's adjacency, and never on a derived graph
     built, runs, derived = [], [], []
     init, tarjan, child = WorkGraph.__init__, graph._strong_components, WorkGraph._child
 
@@ -421,9 +462,9 @@ def test_cli_runs_tarjan_once_per_root_graph(tmp_path, monkeypatch, capsys):
         init(self, *args, **kwargs)
         built.append(self)
 
-    def counted_tarjan(out, roots):
+    def counted_tarjan(out, inn, roots):
         runs.append(out)
-        return tarjan(out, roots)
+        return tarjan(out, inn, roots)
 
     def counted_child(self, *args, **kwargs):
         derived.append(self)
