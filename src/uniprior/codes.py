@@ -102,14 +102,7 @@ def _jsonable(obj):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, (frozenset, set)):
         return sorted(_jsonable(x) for x in obj)
-    if isinstance(obj, WorkGraph):
-        return {
-            "vertices": list(obj.vertices),
-            "arcs": [list(a) for a in sorted(obj.arcs)],
-            "weight": {str(v): obj.weight[v] for v in obj.vertices},
-            "dummies": sorted(obj.dummies),
-        }
-    return obj
+    return obj  # a WorkGraph too: it is unhashable, so in no set sorted here
 
 
 def _record_fields(obj):
@@ -144,12 +137,16 @@ def _emit(obj, nl: str) -> str:
         if not obj:
             return "[]"
         inner = nl + "  "
-        for x in obj:
-            if type(x) is not int:
-                items = [int.__repr__(x) if type(x) is int else _emit(x, inner) for x in obj]
-                break
+        if type(obj[0]) is CodeSymbol:
+            items = _symbol_texts(obj, inner)
+            items += [_emit(x, inner) for x in obj[len(items):]]  # from the first it cannot write
         else:
-            items = map(int.__repr__, obj)
+            for x in obj:
+                if type(x) is not int:
+                    items = [int.__repr__(x) if type(x) is int else _emit(x, inner) for x in obj]
+                    break
+            else:
+                items = map(int.__repr__, obj)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is dict:
         if not obj:
@@ -159,18 +156,9 @@ def _emit(obj, nl: str) -> str:
         return ("{" + inner + ("," + inner).join([_encode_str(k) + ": " + _emit(d[k], inner)
                                                   for k in sorted(d)]) + nl + "}")
     if t is CodeSymbol:
-        # plain ints: one %-template per symbol and per term pair, the
-        # bytes of the record walk below (which bools and Enums take,
-        # as they print differently from the ints they equal)
-        sender, terms = obj.sender, obj.terms
-        if type(sender) is int and type(terms) is tuple and terms:
-            for p in terms:
-                if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int \
-                        or type(p[1]) is not int:
-                    break
-            else:
-                sym, pair, comma = _SYMBOL_TEMPLATES.get(nl) or _symbol_templates(nl)
-                return sym % (sender, comma.join([pair % p for p in terms]))
+        texts = _symbol_texts((obj,), nl)
+        if texts:  # else the record walk below
+            return texts[0]
     if obj is None:
         return "null"
     if obj is True:
@@ -188,8 +176,10 @@ def _emit(obj, nl: str) -> str:
             return _emit(obj.value, nl)
         fields = _record_fields(obj)
         if fields is None:
-            if isinstance(obj, (dict, list, tuple, frozenset, set, WorkGraph)):
-                return _emit(_jsonable(obj), nl)  # subclasses, and graphs
+            if isinstance(obj, WorkGraph):
+                return _graph_text(obj, nl)
+            if isinstance(obj, (dict, list, tuple, frozenset, set)):
+                return _emit(_jsonable(obj), nl)  # subclasses
             return json.dumps(obj)  # float, int and str subclasses; TypeError otherwise
         keys = _FIELD_KEYS[t] = [(f, _encode_str(f) + ": ") for f in sorted(fields)]
     if not keys:
@@ -199,19 +189,71 @@ def _emit(obj, nl: str) -> str:
                                               for f, k in keys]) + nl + "}")
 
 
+def _symbol_texts(seq, nl: str) -> list[str]:
+    """The text of each code symbol seq starts with, up to the first item
+    that is no symbol of plain ints: the bytes of the record walk, which
+    bools and Enums take, as they print differently from the ints they
+    equal.  A symbol with one or two terms is one %-template, a longer
+    one a template per term pair."""
+    one, two, sym, pair, comma = _TEMPLATES.get(nl) or _templates(nl)
+    texts = []
+    for s in seq:
+        if type(s) is not CodeSymbol:
+            break
+        sender, terms = s
+        if type(sender) is not int or type(terms) is not tuple or not terms:
+            break
+        for p in terms:
+            if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int \
+                    or type(p[1]) is not int:
+                break
+        else:
+            texts.append(one % ((sender,) + terms[0]) if len(terms) == 1
+                         else two % ((sender,) + terms[0] + terms[1]) if len(terms) == 2
+                         else sym % (sender, comma.join([pair % p for p in terms])))
+            continue
+        break
+    return texts
+
+
 # nl -> the %-templates of a code symbol whose braces start on line nl,
-# of one of its term pairs, and the separator between pairs
-_SYMBOL_TEMPLATES: dict[str, tuple[str, str, str]] = {}
+# with one term, with two, and with its term pairs as one %s; of a term
+# pair (or a graph's arc), and the separator between pairs
+_TEMPLATES: dict[str, tuple[str, str, str, str, str]] = {}
 
 
-def _symbol_templates(nl: str) -> tuple[str, str, str]:
+def _templates(nl: str) -> tuple[str, str, str, str, str]:
     i1 = nl + "  "  # the symbol's fields
     i2 = i1 + "  "  # a term's brackets
     i3 = i2 + "  "  # a term's message and bit
     sym = "{" + i1 + '"sender": %d,' + i1 + '"terms": [' + i2 + "%s" + i1 + "]" + nl + "}"
     pair = "[" + i3 + "%d," + i3 + "%d" + i2 + "]"
-    _SYMBOL_TEMPLATES[nl] = sym, pair, "," + i2
-    return _SYMBOL_TEMPLATES[nl]
+    _TEMPLATES[nl] = (sym.replace("%s", pair), sym.replace("%s", pair + "," + i2 + pair),
+                      sym, pair, "," + i2)
+    return _TEMPLATES[nl]
+
+
+def _graph_text(g: WorkGraph, nl: str) -> str:
+    """A graph as the object of its arcs, dummies, vertices and weights,
+    written from its adjacency: its vertices and each out-neighbour tuple
+    are sorted, so the arcs come in order.  Weight keys are strings, so
+    they sort as strings ("10" before "2").  A vertex, weight or arc head
+    that is no plain int takes the walk of the same object."""
+    out, weight = g._out, g.weight
+    arcs = [(v, w) for v, ns in out.items() for w in ns]  # out's keys: the vertices, once each
+    if not all(type(v) is int and type(weight[v]) is int for v in out) \
+            or not all(type(w) is int for _, w in arcs):
+        return _emit({"vertices": list(g.vertices), "arcs": [list(a) for a in sorted(g.arcs)],
+                      "weight": {str(v): weight[v] for v in g.vertices},
+                      "dummies": sorted(g.dummies)}, nl)
+    pair, comma = (_TEMPLATES.get(nl) or _templates(nl))[3:]
+    i1 = nl + "  "
+    weights = ['"%d": %d' % (v, weight[v]) for v in sorted(out, key=str)]
+    return ("{" + i1 + '"arcs": ' + ("[" + comma[1:] + comma.join([pair % a for a in arcs]) + i1
+                                     + "]" if arcs else "[]")
+            + "," + i1 + '"dummies": ' + _emit(sorted(g.dummies), i1) + "," + i1 + '"vertices": '
+            + _emit(g.vertices, i1) + "," + i1 + '"weight": '
+            + ("{" + comma[1:] + comma.join(weights) + i1 + "}" if weights else "{}") + nl + "}")
 
 
 def load_code(path: str) -> LinearIndexCode:

@@ -474,10 +474,14 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
 # --------------------------------------------------------- encoding
 
 def _smallest_owner(u: MessageGraph, *messages: int) -> int:
-    common = set.intersection(*(set(u._owners.get(m, ())) for m in messages))
-    if not common:
-        raise ValueError(f"no sender owns messages {messages} together")
-    return min(common)
+    """The smallest sender that owns one message or both of a pair: each
+    message's owners are ascending, so it is the first owner of the one
+    that the other also has."""
+    other = u._owners.get(messages[-1], ())  # the first's own owners for one message
+    for k in u._owners.get(messages[0], ()):
+        if k in other:
+            return k
+    raise ValueError(f"no sender owns messages {messages} together")
 
 
 def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearIndexCode:

@@ -4,9 +4,11 @@
 to plain JSON types, then ``json.dumps(..., indent=2, sort_keys=True)``)
 byte for byte: on every document the CLI emits, for every report type
 over seeded instances, and on edge cases.  ``serialize_code`` must equal
-``json.dumps(doc, indent=2) + "\\n"``.  Both write a code symbol of
-plain ints from %-templates, checked here on codes from every producer,
-and any other symbol through the generic record walk.
+``json.dumps(doc, indent=2) + "\\n"``.  Both write the code symbols of
+plain ints that a list starts with from whole-symbol %-templates,
+checked here on codes from every producer, and any other symbol through
+the generic record walk.  A work graph of plain ints is written from its
+adjacency, any other through the walk of the same object.
 
 The file needs only the standard library, so it also runs without
 pytest, under each Python version the package supports:
@@ -29,11 +31,11 @@ from pathlib import Path
 import uniprior.cli as cli
 from uniprior import (CodeSymbol, ExhaustiveResult, Instance, LinearIndexCode, MessageGraph,
                       WorkGraph, bound_multi, encode_multi, find_connecting_trees,
-                      oracle_min_linear, parse_code, serialize_code, serialize_instance,
-                      solve_single, symbol)
+                      oracle_min_linear, parse_code, run_algorithm2, serialize_code,
+                      serialize_instance, solve_single, symbol)
 from uniprior.codes import _FIELD_KEYS, json_text
 
-from generators import rand_code, rand_cyclic, rand_multi, rand_single, rand_triples
+from generators import rand_code, rand_cyclic, rand_graph, rand_multi, rand_single, rand_triples
 from oracles import reference_emit_json
 
 REPORTS = ("validate", "solve", "bound", "trace", "oracle", "verify", "encode")
@@ -239,6 +241,73 @@ def test_kernel_falls_back_on_symbols_it_cannot_write():
             assert json_text(doc) == reference_emit_json(doc), code
         assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
     assert serialize_code(LinearIndexCode(())) == "[]\n"
+
+
+def test_symbol_lists_mix_term_counts_and_fall_back_item_by_item():
+    """One-, two- and three-term symbols in one list take their three
+    templates; a list goes on item by item from the first item that is
+    no symbol of plain ints, whatever follows it."""
+    one, two = symbol(1, (4, 1)), symbol(2, (3, 2), (1, 1))
+    three = symbol(3, (1, 1), (2, 1), (3, 1))
+    mixed = (one, two, three, two, one, three)
+    # every symbol from a template, with non-symbols after symbols
+    templated = [mixed, list(mixed), [three, three], [one], (two,),
+                 (one, 5), (two, three, 5, one), [three, "x", None, two]]
+    walked = [(one, CodeSymbol(2, ((1, 1), (2, True))), two),    # a bool in the second pair
+              (two, CodeSymbol(1, ((1, 1), (2, 1), [3, 1]))),    # a list-typed third pair
+              (CodeSymbol(1, ((1, 1), (2, Level.ONE))), one)]    # an IntEnum bit
+    for seq in templated + walked:
+        for doc in _wrapped(seq) + _wrapped(LinearIndexCode(tuple(seq))):
+            assert json_text(doc) == reference_emit_json(doc), seq
+        if all(type(s) is CodeSymbol for s in seq):
+            code = LinearIndexCode(seq)
+            assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", seq
+        assert _takes_generic_walk(seq) == (seq in walked), seq
+
+
+class SubGraph(WorkGraph):
+    pass
+
+
+def _graphs() -> list[WorkGraph]:
+    """Graphs of plain ints, which are written from their adjacency, and
+    graphs with a bool or IntEnum vertex, weight or arc head, which take
+    the walk."""
+    rng = random.Random("json-text:graphs")
+    ring = WorkGraph(range(1, 13), {(v, v % 12 + 1) for v in range(1, 13)} | {(12, 2), (3, 11)},
+                     {v: v % 3 for v in range(1, 13)})
+    graphs = [_dummy_graph(), WorkGraph((), (), {}), WorkGraph((2, 1, 3), (), {1: 1, 2: 0, 3: 4}),
+              ring, ring.with_new_dummy(12)[0], ring.with_new_dummy(3)[0].with_new_dummy(7)[0],
+              ring.without_out_arcs(1), ring.with_arc(5, 9),
+              WorkGraph((-2, 0, 7), {(0, -2), (-2, 7)}, {-2: 1, 0: 2 ** 70, 7: -1}),
+              WorkGraph((1, 2), {(1, 2)}, {1: True, 2: 1}),
+              WorkGraph((1, 2), {(2, 1)}, {1: 1, 2: Level.TWO}),
+              WorkGraph((1, 2, 3), {(1, 2), (3, True)}, {1: 1, 2: 1, 3: 1}),
+              WorkGraph((Level.ONE, 2), {(2, 1)}, {1: 1, 2: 1}),
+              SubGraph((1, 2, 3), {(3, 1)}, {1: 1, 2: 0, 3: 1}, dummies=(2,))]
+    graphs += [rand_graph(rng, n) for n in (1, 4, 10, 15)]
+    return graphs
+
+
+def test_graphs_match_reference():
+    graphs = _graphs()
+    assert any(len(g.vertices) >= 10 and g.dummies for g in graphs)
+    for g in graphs:
+        for doc in _wrapped(g):
+            assert json_text(doc) == reference_emit_json(doc), g
+    weights = json.loads(json_text(graphs[3]))["weight"]
+    assert list(weights)[:4] == ["1", "10", "11", "12"]  # keys in string order
+
+
+def test_lower_bound_report_in_a_dict_matches_reference():
+    """The Algorithm-2 report, with its steps and final graph, nested
+    where the CLI puts it."""
+    rng = random.Random("json-text:reports")
+    for _ in range(10):
+        for inst in (rand_cyclic(rng, n_max=12), rand_triples(rng, t_max=3)):
+            report = run_algorithm2(inst)
+            for doc in _wrapped({"lower_report": report, "bound": report.bound}):
+                assert json_text(doc) == reference_emit_json(doc)
 
 
 def test_code_file_round_trip():

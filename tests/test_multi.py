@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 import sys
 import time
 
@@ -16,7 +17,7 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       is_grounded, leaf_scc_sets, oracle_min_linear, reach,
                       run_algorithm2, senders_pairwise_disjoint, solve_single,
                       step_limit, symbol, v_out, verify_linear)
-from uniprior.multi import _apply, _child_score, _spanning_tree_edges, _steps
+from uniprior.multi import _apply, _child_score, _smallest_owner, _spanning_tree_edges, _steps
 
 from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
                         rand_multi, rand_single, rand_triples, wide_senders)
@@ -649,6 +650,30 @@ def test_encoder_output_always_verifies():
         mc = sum(1 for scc in leaf_scc_sets(g)
                  if classify_leaf_scc(g, u, scc).kind is Kind.MESSAGE_CONNECTED)
         assert len(code) == v_out(g) - mc - len(trees)
+
+
+def test_smallest_owner_matches_owner_set_intersection():
+    """The first common owner of ascending owner lists is the smallest
+    sender that owns every given message, under overlapping and wide
+    senders, and an unowned message or pair keeps its error."""
+    rng = random.Random(104)
+    unowned = 0
+    for k in range(60):
+        n = rng.randint(2, 9)
+        inst = rand_multi(rng, n_max=n) if k % 2 else make_instance(n, [], wide_senders(rng, n))
+        u = derive_message_graph(inst)
+        vs = range(1, inst.n + 1)
+        for ms in [(i,) for i in vs] + [(i, j) for i in vs for j in vs if i != j]:
+            common = set.intersection(*({k for k, s in enumerate(inst.senders, 1) if m in s}
+                                        for m in ms))
+            if common:
+                assert _smallest_owner(u, *ms) == min(common)
+                continue
+            unowned += 1
+            error = re.escape(f"no sender owns messages {ms} together")
+            with pytest.raises(ValueError, match=error):
+                _smallest_owner(u, *ms)
+    assert unowned
 
 
 def test_encode_rejects_foreign_trees():
