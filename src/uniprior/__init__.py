@@ -4,50 +4,65 @@ Single-sender instances are solved exactly (optimal codelength plus an
 optimal linear code).  Multi-sender binary instances get matching-form
 lower and upper bounds with tightness detection, plus brute-force
 verification oracles for ground truth on small inputs.
+
+Each library module is registered here as a lazy module and runs on its
+first attribute access, so a command compiles only the layers it calls.
+Every submodule is in ``sys.modules`` and bound as an attribute from
+the start; the names of ``__all__`` are read from their modules on
+first use.
 """
 
-from .classify import (DegeneracyWitness, Kind, LeafSccClass,
-                       check_degeneracy_witness, classify_leaf_scc,
-                       find_degeneracy_witness)
-from .codes import (CapExceededError, CodeSymbol, Gf2Basis, LinearIndexCode,
-                    MalformedCodeError, OracleResult, VerifyReport,
-                    bit_layout, check_code, load_code, oracle_min_linear,
-                    parse_code, serialize_code, symbol, verify_exhaustive,
-                    verify_linear)
-from .graph import (SccPartition, WorkGraph, is_grounded, leaf_scc_sets,
-                    leaf_vertices, predecessor_weight_bound, predecessors,
-                    reach, scc_partition, v_out)
-from .instance import (Instance, MessageGraph, ParseError, ValidationReport,
-                       derive_message_graph, load_instance, parse_instance,
-                       serialize_instance, validate)
-from .multi import (BinaryRequiredError, BoundReport, ConnectingTree,
-                    ExhaustiveResult, LowerBoundReport, StepKind, StepRecord,
-                    TightReason, TreeSearchResult, bound_multi, encode_multi,
-                    exhaustive_lower_bound, find_connecting_trees,
-                    run_algorithm2, senders_pairwise_disjoint, step_limit)
-from .single import (NotSingleSenderError, PruneStep, PruneTrace,
-                     SingleSolution, encode_single, lower_bound_single,
-                     prune_all, solve_single)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
-__all__ = [
-    "Instance", "MessageGraph", "ParseError", "ValidationReport",
-    "parse_instance", "serialize_instance", "load_instance", "validate",
-    "derive_message_graph",
-    "WorkGraph", "SccPartition", "scc_partition", "leaf_scc_sets",
-    "leaf_vertices", "predecessors", "reach", "is_grounded",
-    "predecessor_weight_bound", "v_out",
-    "CodeSymbol", "LinearIndexCode", "VerifyReport", "OracleResult",
-    "MalformedCodeError", "CapExceededError", "Gf2Basis", "bit_layout",
-    "check_code", "symbol", "parse_code",
-    "serialize_code", "load_code", "verify_linear", "verify_exhaustive",
-    "oracle_min_linear",
-    "PruneStep", "PruneTrace", "SingleSolution", "NotSingleSenderError",
-    "prune_all", "lower_bound_single", "encode_single", "solve_single",
-    "Kind", "LeafSccClass", "DegeneracyWitness", "classify_leaf_scc",
-    "find_degeneracy_witness", "check_degeneracy_witness",
-    "StepKind", "StepRecord", "LowerBoundReport", "ExhaustiveResult",
-    "ConnectingTree", "TreeSearchResult", "BoundReport", "TightReason",
-    "BinaryRequiredError", "run_algorithm2", "exhaustive_lower_bound",
-    "find_connecting_trees", "encode_multi", "bound_multi", "step_limit",
-    "senders_pairwise_disjoint",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "instance": ("Instance", "MessageGraph", "ParseError", "ValidationReport",
+                 "parse_instance", "serialize_instance", "load_instance", "validate",
+                 "derive_message_graph"),
+    "graph": ("WorkGraph", "SccPartition", "scc_partition", "leaf_scc_sets",
+              "leaf_vertices", "predecessors", "reach", "is_grounded",
+              "predecessor_weight_bound", "v_out"),
+    "codes": ("CodeSymbol", "LinearIndexCode", "VerifyReport", "OracleResult",
+              "MalformedCodeError", "CapExceededError", "Gf2Basis", "bit_layout",
+              "check_code", "symbol", "parse_code", "serialize_code", "load_code",
+              "verify_linear", "verify_exhaustive", "oracle_min_linear"),
+    "single": ("PruneStep", "PruneTrace", "SingleSolution", "NotSingleSenderError",
+               "prune_all", "lower_bound_single", "encode_single", "solve_single"),
+    "classify": ("Kind", "LeafSccClass", "DegeneracyWitness", "classify_leaf_scc",
+                 "find_degeneracy_witness", "check_degeneracy_witness"),
+    "multi": ("StepKind", "StepRecord", "LowerBoundReport", "ExhaustiveResult",
+              "ConnectingTree", "TreeSearchResult", "BoundReport", "TightReason",
+              "BinaryRequiredError", "run_algorithm2", "exhaustive_lower_bound",
+              "find_connecting_trees", "encode_multi", "bound_multi", "step_limit",
+              "senders_pairwise_disjoint"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def _lazy(name: str):
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _HOMES:
+    globals()[_name] = _lazy(_name)
+del _name
+
+__all__ = [name for names in _HOMES.values() for name in names]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[module], name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import multi, single
+from . import graph, multi, single
 from .codes import (CapExceededError, LinearIndexCode, MalformedCodeError, json_text,
                     load_code, oracle_min_linear, serialize_code, verify_linear)
-from .graph import WorkGraph
 from .instance import Instance, ParseError, load_instance, validate
 
 EXIT_OK = 0
@@ -145,7 +144,7 @@ def _cmd_bound(args) -> int:
 def _cmd_encode(args) -> int:
     inst = _load_valid_instance(args.instance)
     if len(inst.senders) == 1:
-        code = single.encode_single(WorkGraph.from_instance(inst))
+        code = single.encode_single(graph.WorkGraph.from_instance(inst))
     else:
         code = multi.encode_multi(inst, multi.find_connecting_trees(inst).trees)
     try:

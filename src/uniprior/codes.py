@@ -12,7 +12,7 @@ import json
 from collections import namedtuple
 from enum import Enum
 
-from .graph import WorkGraph, _closure
+from . import graph
 from .instance import Instance, ParseError, _Frozen, parse_json, read_text
 
 
@@ -176,7 +176,7 @@ def _emit(obj, nl: str) -> str:
             return _emit(obj.value, nl)
         fields = _record_fields(obj)
         if fields is None:
-            if isinstance(obj, WorkGraph):
+            if isinstance(obj, graph.WorkGraph):
                 return _graph_text(obj, nl)
             if isinstance(obj, (dict, list, tuple, frozenset, set)):
                 return _emit(_jsonable(obj), nl)  # subclasses
@@ -233,7 +233,7 @@ def _templates(nl: str) -> tuple[str, str, str, str, str]:
     return _TEMPLATES[nl]
 
 
-def _graph_text(g: WorkGraph, nl: str) -> str:
+def _graph_text(g: graph.WorkGraph, nl: str) -> str:
     """A graph as the object of its arcs, dummies, vertices and weights,
     written from its adjacency: its vertices and each out-neighbour tuple
     are sorted, so the arcs come in order.  Weight keys are strings, so
@@ -552,7 +552,8 @@ def _closed_demands(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[int,
     for (i, j) in inst.arcs:
         wants[j].append(i)
     return [(((1 << inst.q[r - 1]) - 1) << offsets[r - 1],
-             sum(((1 << inst.q[m - 1]) - 1) << offsets[m - 1] for m in _closure(wants, (r,)) - {r}))
+             sum(((1 << inst.q[m - 1]) - 1) << offsets[m - 1]
+                 for m in graph._closure(wants, (r,)) - {r}))
             for r in range(1, inst.n + 1) if wants[r]]
 
 

@@ -58,6 +58,11 @@ class WorkGraph:
         self.weight: dict[int, int] = dict(weight)
         self.dummies: frozenset[int] = frozenset(dummies)
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            v = next(v for v, w in zip(self.vertices, self.vertices[1:]) if v == w)
+            raise ValueError(f"vertex {v} repeated")
+        if not self.dummies <= vs:
+            raise ValueError(f"dummy {min(self.dummies - vs)} is not a vertex")
         for (i, j) in arcs:
             _check_arc(i, j, vs, self.dummies)
         for d in self.dummies:

@@ -77,6 +77,22 @@ def test_graph_rejects_bad_shapes():
                   weight={1: 1, 2: 3}, dummies=frozenset({2}))
 
 
+def test_graph_rejects_repeated_vertices_and_stray_dummies():
+    with pytest.raises(ValueError, match="vertex 1 repeated"):
+        WorkGraph((2, 1, 1), {(1, 2), (2, 1)}, {1: 1, 2: 1})
+    with pytest.raises(ValueError, match="dummy 5 is not a vertex"):
+        WorkGraph((1, 2), {(1, 2)}, {1: 1, 2: 1}, dummies=(5,))
+    with pytest.raises(ValueError, match="dummy 3 is not a vertex"):
+        WorkGraph((1, 2, 4), {(1, 2)}, {1: 1, 2: 1, 4: 0}, dummies=(4, 3, 7))
+    # graphs of instances have distinct vertices and no dummies
+    rng = random.Random(5)
+    for _ in range(50):
+        inst = rand_single(rng, n_max=8, q_max=3)
+        g = WorkGraph.from_instance(inst)
+        assert g.vertices == tuple(range(1, inst.n + 1)) and g.dummies == frozenset()
+        assert v_out(g) == len({i for i, _ in inst.arcs})
+
+
 def test_dummies_count_nowhere():
     g, d = EX2_GRAPH.with_new_dummy(1)
     assert d == 6
