@@ -21,16 +21,15 @@ _HOMES = {
                  "parse_instance", "serialize_instance", "load_instance", "validate",
                  "derive_message_graph"),
     "graph": ("WorkGraph", "SccPartition", "scc_partition", "leaf_scc_sets",
-              "leaf_vertices", "predecessors", "reach", "is_grounded",
-              "predecessor_weight_bound", "v_out"),
+              "leaf_vertices", "predecessors", "reach", "v_out"),
     "codes": ("CodeSymbol", "LinearIndexCode", "VerifyReport", "OracleResult",
               "MalformedCodeError", "CapExceededError", "Gf2Basis", "bit_layout",
               "check_code", "symbol", "parse_code", "serialize_code", "load_code",
               "verify_linear", "verify_exhaustive", "oracle_min_linear"),
     "single": ("PruneStep", "PruneTrace", "SingleSolution", "NotSingleSenderError",
-               "prune_all", "lower_bound_single", "encode_single", "solve_single"),
+               "prune_all", "encode_single", "solve_single"),
     "classify": ("Kind", "LeafSccClass", "DegeneracyWitness", "classify_leaf_scc",
-                 "find_degeneracy_witness", "check_degeneracy_witness"),
+                 "find_degeneracy_witness"),
     "multi": ("StepKind", "StepRecord", "LowerBoundReport", "ExhaustiveResult",
               "ConnectingTree", "TreeSearchResult", "BoundReport", "TightReason",
               "BinaryRequiredError", "run_algorithm2", "exhaustive_lower_bound",

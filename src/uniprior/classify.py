@@ -13,8 +13,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 
-from .graph import (WorkGraph, _leaf_sccs, leaf_cover, leaf_vertices, predecessors,
-                    reach)
+from .graph import WorkGraph, _leaf_sccs, leaf_cover, leaf_vertices, reach
 from .instance import MessageGraph
 
 
@@ -38,31 +37,6 @@ LeafSccClass = namedtuple("LeafSccClass", "kind disconnected_pair degeneracy",
 def _require_leaf_scc(g: WorkGraph, scc: frozenset[int]) -> None:
     if scc not in _leaf_sccs(g):
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
-
-
-def check_degeneracy_witness(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
-                             w: DegeneracyWitness) -> bool:
-    """The three witness conditions, checked directly from g and u."""
-    if not w.s_inside or not w.s_inside < scc:
-        return False
-    if w.s_outside & scc:
-        return False
-    if w.v_inside not in w.s_inside or w.target not in w.s_outside:
-        return False
-    # (a) no message-graph edge between s_inside and the rest of the SCC
-    rest = scc - w.s_inside
-    for a in w.s_inside:
-        if u.neighbors(a) & rest:
-            return False
-    # (b) at most one non-leaf vertex outside
-    leaves = leaf_vertices(g)
-    if sum(1 for v in w.s_outside if v not in leaves) > 1:
-        return False
-    # (c) every neighbor of s_inside is in s_outside or precedes one of it
-    covered = set(w.s_outside)
-    for v in w.s_outside:
-        covered |= predecessors(g, v)
-    return u.neighbors_of_set(w.s_inside) <= covered
 
 
 def message_class(u: MessageGraph, scc: frozenset[int]) -> tuple[

@@ -361,16 +361,6 @@ class Gf2Basis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def snapshot(self) -> tuple[int, ...]:
-        """Canonical (RREF) row tuple; equal spans give equal snapshots."""
-        return tuple(sorted(self.rows.values()))
-
-    def copy(self) -> Gf2Basis:
-        b = Gf2Basis()
-        b.rows = dict(self.rows)
-        b._mask = self._mask
-        return b
-
 
 def _receivers(inst: Instance, offsets: tuple[int, ...]) -> list[tuple]:
     """(r, r's own coordinates, wanted (message, bit) pairs, their

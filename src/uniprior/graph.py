@@ -121,17 +121,11 @@ class WorkGraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
     def out_degree(self, v: int) -> int:
         return len(self._out[v])
 
     def real_vertices(self) -> list[int]:
         return [v for v in self.vertices if v not in self.dummies]
-
-    def with_arcs(self, arcs) -> WorkGraph:
-        return WorkGraph(self.vertices, arcs, self.weight, self.dummies)
 
     def with_arc(self, i: int, j: int) -> WorkGraph:
         _check_arc(i, j, self._out, self.dummies)
@@ -342,29 +336,6 @@ def reach(g: WorkGraph, v: int) -> frozenset[int]:
             raise ValueError(f"vertex {v} not in graph")
         found = g._reach[v] = _closure(g._out, (v,))
     return found
-
-
-def is_grounded(g: WorkGraph) -> bool:
-    """True iff every vertex is a leaf or a predecessor of some leaf.
-
-    Implemented straight from that definition (reverse reachability from
-    the leaf set), deliberately not via the SCC decomposition: the
-    equivalence with "no leaf SCC" is a tested property, not an
-    implementation shortcut.
-    """
-    leaves = leaf_vertices(g)
-    return len(leaves) + len(_closure(g._in, leaves)) == len(g.vertices)
-
-
-def predecessor_weight_bound(g: WorkGraph) -> int:
-    """Total weight of vertices that precede some leaf.
-
-    On a grounded graph this is the total weight of all non-leaf
-    vertices, the sharpest form of the predecessor lower bound.
-    """
-    # a leaf reached backward from another leaf is impossible (no out-arcs),
-    # so the closure never contains a leaf
-    return sum(g.weight[v] for v in _closure(g._in, leaf_vertices(g)))
 
 
 def v_out(g: WorkGraph) -> int:

@@ -70,10 +70,6 @@ class Instance(_Frozen):
         for name, value in zip(self.__slots__, (n, q, arcs, senders, notes, None)):
             object.__setattr__(self, name, value)
 
-    def wants(self, receiver: int) -> list[int]:
-        """Messages wanted by a receiver, ascending."""
-        return sorted(i for (i, j) in self.arcs if j == receiver)
-
 
 class MessageGraph(_Frozen):
     """Undirected graph with an edge {i, j} when some sender owns both,
@@ -108,9 +104,6 @@ class MessageGraph(_Frozen):
             object.__setattr__(self, "_edges", frozenset(
                 (a, b) for s in self.senders for a in s for b in s if a < b))
         return self._edges
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return i != j and not set(self._owners.get(i, ())).isdisjoint(self._owners.get(j, ()))
 
     def neighbors(self, v: int) -> set[int]:
         return set().union(*(self.senders[k - 1] for k in self._owners.get(v, ()))) - {v}

@@ -2,8 +2,8 @@
 
 The optimal codelength is total weight, minus the weight of leaf
 vertices (nobody wants those messages), minus one minimum weight per
-leaf SCC (the cyclic-code saving).  Pruning realizes the same number as
-a predecessor bound on a grounded graph.
+leaf SCC (the cyclic-code saving).  Pruning one minimum-weight vertex of
+each leaf SCC grounds the graph and gives the trace the solution shows.
 """
 
 from __future__ import annotations
@@ -29,25 +29,19 @@ SingleSolution = namedtuple("SingleSolution",
 
 def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
     """Ground the graph: in each leaf SCC, remove all out-arcs of one
-    minimum-weight vertex (smallest id on ties)."""
+    minimum-weight vertex (smallest id on ties).  A prune creates no leaf
+    SCC (rule 1 of ``graph``'s module docstring) and touches no other
+    one, so the steps are the root graph's leaf SCCs, in order."""
     if g.dummies:
         raise ValueError("prune_all expects a graph without dummy vertices")
     steps = []
-    while True:
-        leafs = _leaf_sccs(g)
-        if not leafs:
-            break
-        scc = leafs[0]
+    for scc in _leaf_sccs(g):
         pick = min(scc, key=lambda v: (g.weight[v], v))
-        removed = tuple((pick, j) for j in g.out_neighbors(pick))
-        g = g.without_out_arcs(pick)
-        steps.append(PruneStep(scc=scc, vertex=pick, removed_arcs=removed))
+        steps.append(PruneStep(scc=scc, vertex=pick,
+                               removed_arcs=tuple((pick, j) for j in g.out_neighbors(pick))))
+    for step in steps:
+        g = g.without_out_arcs(step.vertex)
     return g, PruneTrace(steps=tuple(steps))
-
-
-def lower_bound_single(g: WorkGraph) -> int:
-    """The optimal codelength; solve_arithmetic shows its terms."""
-    return solve_arithmetic(g)[3]
 
 
 def encode_single(g: WorkGraph) -> LinearIndexCode:
@@ -106,6 +100,6 @@ def solve_arithmetic(g: WorkGraph) -> tuple[int, int, int, int]:
 
 __all__ = [
     "NotSingleSenderError", "PruneStep", "PruneTrace", "SingleSolution",
-    "prune_all", "lower_bound_single", "encode_single", "solve_single",
+    "prune_all", "encode_single", "solve_single",
     "solve_arithmetic",
 ]

@@ -13,8 +13,8 @@ from enum import Enum
 from itertools import chain, combinations
 
 from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
-                      MessageGraph, VerifyReport, WorkGraph, bit_layout,
-                      check_code, leaf_vertices, predecessors,
+                      MessageGraph, PruneStep, PruneTrace, VerifyReport, WorkGraph,
+                      bit_layout, check_code, leaf_vertices, predecessors,
                       verify_exhaustive)
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
                             _coord, _receivers, _trivial_upper_code, symbol_vectors)
@@ -89,7 +89,7 @@ def reference_child_partition(g: WorkGraph, parent: SccPartition,
     if kind == "prune":
         del pairs[k]
         out = {v: tuple(w for w in g.out_neighbors(v) if w in comp) for v in comp}
-        inn = {v: tuple(w for w in g.in_neighbors(v) if w in comp) for v in comp}
+        inn = {v: tuple(w for w in comp if v in g.out_neighbors(w)) for v in comp}
         for c in _strong_components(out, inn, sorted(comp)):
             insort(pairs, (c, False), key=lambda pair: min(pair[0]))
     elif kind == "dummy":
@@ -103,28 +103,74 @@ def reference_child_partition(g: WorkGraph, parent: SccPartition,
         if a not in fwd:
             pairs[k] = (comp, False)
         else:
-            # the vertices reachable from b that reach a
-            merged = {a}
-            stack = [a]
-            while stack:
-                for x in g.in_neighbors(stack.pop()):
-                    if x in fwd and x not in merged:
-                        merged.add(x)
-                        stack.append(x)
-            merged = frozenset(merged)
+            # the vertices reachable from b that reach a, a among them
+            merged = frozenset(x for x in fwd if a in reach(g, x))
             pairs = [p for p in pairs if not p[0] <= merged]
             insort(pairs, (merged, _is_leaf(g, merged)), key=lambda pair: min(pair[0]))
     return SccPartition(components=tuple(c for c, _ in pairs),
                         leaf_flags=tuple(f for _, f in pairs))
 
 
+def _precedes_a_leaf(g: WorkGraph) -> set[int]:
+    """The vertices with a path to some leaf (a vertex with no out-arcs)."""
+    reach = brute_reach(g)
+    return {v for v in g.vertices if any(not g.out_neighbors(w) for w in reach[v])}
+
+
 def brute_is_grounded(g: WorkGraph) -> bool:
-    return not brute_leaf_scc_sets(g)
+    """By the definition: every vertex is a leaf or precedes one."""
+    preceding = _precedes_a_leaf(g)
+    return all(not g.out_neighbors(v) or v in preceding for v in g.vertices)
+
+
+def reference_predecessor_weight_bound(g: WorkGraph) -> int:
+    """Total weight of the vertices that precede some leaf.  On a grounded
+    graph that is every non-leaf vertex, the sharpest form of the
+    predecessor lower bound."""
+    return sum(g.weight[v] for v in _precedes_a_leaf(g))
 
 
 def brute_predecessors(g: WorkGraph, v: int) -> set[int]:
     reach = brute_reach(g)
     return {u for u in g.vertices if v in reach[u]}
+
+
+def reference_check_witness(g: WorkGraph, u: MessageGraph, scc: frozenset[int],
+                            w: DegeneracyWitness) -> bool:
+    """The three degeneracy-witness conditions, checked directly from g
+    and u: s_inside a proper part of the SCC and s_outside outside it,
+    with v_inside and target in them, and
+    (a) no message-graph edge between s_inside and the rest of the SCC;
+    (b) at most one non-leaf vertex in s_outside;
+    (c) every message neighbour of s_inside is in s_outside or precedes
+        one of its vertices."""
+    if not w.s_inside or not w.s_inside < scc or w.s_outside & scc:
+        return False
+    if w.v_inside not in w.s_inside or w.target not in w.s_outside:
+        return False
+    if any(u.neighbors(a) & (scc - w.s_inside) for a in w.s_inside):
+        return False
+    if sum(1 for v in w.s_outside if g.out_neighbors(v)) > 1:
+        return False
+    covered = set(w.s_outside).union(*(brute_predecessors(g, v) for v in w.s_outside))
+    return u.neighbors_of_set(w.s_inside) <= covered
+
+
+def reference_prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
+    """Pruning step by step: while the graph has a leaf SCC, remove all
+    out-arcs of one minimum-weight vertex (smallest id on ties) of the
+    first, then look for leaf SCCs again on the pruned graph."""
+    steps = []
+    while True:
+        leafs = leaf_scc_sets(g)
+        if not leafs:
+            break
+        scc = leafs[0]
+        pick = min(scc, key=lambda v: (g.weight[v], v))
+        removed = tuple((pick, j) for j in g.out_neighbors(pick))
+        g = g.without_out_arcs(pick)
+        steps.append(PruneStep(scc=scc, vertex=pick, removed_arcs=removed))
+    return g, PruneTrace(steps=tuple(steps))
 
 
 def reference_neighbors(u: MessageGraph, v: int) -> set[int]:
@@ -190,7 +236,7 @@ def brute_witness_exists(g: WorkGraph, u: MessageGraph,
         if len(s_inside) == len(scc):
             continue
         rest = scc - s_inside
-        if any(u.has_edge(a, b) for a in s_inside for b in rest):
+        if any((min(a, b), max(a, b)) in u.edges for a in s_inside for b in rest):
             continue
         nbrs = {x for a in s_inside for x in u.neighbors(a)} - s_inside
         for so in powerset(outside):
@@ -271,7 +317,8 @@ def _receiver_units(inst: Instance, offsets: tuple[int, ...], r: int) -> list[in
 
 
 def _wanted_bits(inst: Instance, r: int) -> list[tuple[int, int]]:
-    return [(j, b) for j in inst.wants(r) for b in range(1, inst.q[j - 1] + 1)]
+    wants = sorted(i for (i, j) in inst.arcs if j == r)
+    return [(j, b) for j in wants for b in range(1, inst.q[j - 1] + 1)]
 
 
 def _residues(rows: dict[int, int], own: range, wanted: list[int]) -> list[int]:
@@ -348,7 +395,7 @@ def reference_oracle_min_linear(inst: Instance, max_len: int | None = None,
     def dfs(start: int, chosen: list[tuple[int, int]], basis: Gf2Basis, slots: int) -> bool:
         if slots == 0:
             return satisfied(basis.rows)
-        key = (basis.snapshot(), slots, start)
+        key = (tuple(sorted(basis.rows.values())), slots, start)
         if key in failed:
             return False
         if demand(basis.rows) > slots:
@@ -358,7 +405,7 @@ def reference_oracle_min_linear(inst: Instance, max_len: int | None = None,
             si, vec = cands[k]
             if basis.contains(vec):
                 continue  # dependent symbols never widen any receiver's span
-            b2 = basis.copy()
+            b2 = Gf2Basis(basis.rows.values())
             b2.add(vec)
             chosen.append((si, vec))
             if dfs(k + 1, chosen, b2, slots - 1):

@@ -7,16 +7,15 @@ from itertools import combinations
 
 import pytest
 
-from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph,
-                      check_degeneracy_witness, classify_leaf_scc,
+from uniprior import (DegeneracyWitness, Kind, StepKind, WorkGraph, classify_leaf_scc,
                       derive_message_graph, find_degeneracy_witness,
                       leaf_scc_sets, run_algorithm2)
 from uniprior.classify import message_class, witness_options
 from uniprior.multi import _apply, _graphs, _steps
 
 from generators import make_instance, rand_cyclic
-from oracles import (brute_witness_exists, reference_components, reference_connected_within,
-                     reference_witness_options)
+from oracles import (brute_witness_exists, reference_check_witness, reference_components,
+                     reference_connected_within, reference_witness_options)
 from test_golden import FAMILIES
 
 D1 = make_instance(3, [[1, 2], [2, 1], [3, 1]], [[1, 3], [2, 3]])
@@ -62,7 +61,7 @@ def test_gap_after_prune_gains_witness():
     assert w == DegeneracyWitness(s_inside=frozenset({1}),
                                   s_outside=frozenset({3, 5}),
                                   v_inside=1, target=5)
-    assert check_degeneracy_witness(g2, u, frozenset({1, 2}), w)
+    assert reference_check_witness(g2, u, frozenset({1, 2}), w)
 
 
 def test_d1_witness():
@@ -96,10 +95,10 @@ def test_classify_requires_leaf_scc():
 def test_witness_checker_rejects_edited_witnesses():
     g, u = graph_and_u(D1)
     good = find_degeneracy_witness(g, u, frozenset({1, 2}))
-    assert check_degeneracy_witness(g, u, frozenset({1, 2}), good)
+    assert reference_check_witness(g, u, frozenset({1, 2}), good)
     bad = DegeneracyWitness(s_inside=frozenset({1}), s_outside=frozenset({3}),
                             v_inside=1, target=1)  # target must sit outside
-    assert not check_degeneracy_witness(g, u, frozenset({1, 2}), bad)
+    assert not reference_check_witness(g, u, frozenset({1, 2}), bad)
 
 
 def classified_sccs(rng, rounds, n_max=7):
@@ -126,7 +125,7 @@ def test_partition_into_exactly_one_kind():
             assert ca != cb
         elif c.kind is Kind.DEGENERATED:
             assert not u.connected_within(scc)
-            assert check_degeneracy_witness(g, u, scc, c.degeneracy)
+            assert reference_check_witness(g, u, scc, c.degeneracy)
         else:
             assert c.kind is Kind.NON_DEGENERATED
             assert find_degeneracy_witness(g, u, scc) is None

@@ -144,12 +144,35 @@ def test_every_public_name_is_its_home_modules_object():
                  "                   name in vars(uniprior)]\n"
                  "print(json.dumps([names, listed, homes]))")
     names, listed, homes = json.loads(out)
-    assert len(names) == len(set(names)) == 65
+    assert len(names) == len(set(names)) == 61
     assert set(names) <= set(listed)
     assert set(LIBRARY) <= set(listed)
     for name in names:
         home, same, cached = homes[name]
         assert home.partition(".")[2] in LIBRARY and same and cached, (name, home)
+
+
+# the paper's definitions that no command computes; tests/oracles.py
+# keeps them as references
+RETIRED = ("is_grounded", "predecessor_weight_bound", "lower_bound_single",
+           "check_degeneracy_witness")
+RETIRED_METHODS = {"WorkGraph": ("with_arcs", "in_neighbors"), "MessageGraph": ("has_edge",),
+                   "Instance": ("wants",), "Gf2Basis": ("snapshot", "copy")}
+
+
+def test_retired_names_are_gone():
+    out = _fresh("import uniprior\n"
+                 "missing = []\n"
+                 "for name in json.loads(sys.argv[1]):\n"
+                 "    try:\n"
+                 "        getattr(uniprior, name)\n"
+                 "    except AttributeError:\n"
+                 "        missing.append(name)\n"
+                 "kept = [f'{c}.{m}' for c, ms in json.loads(sys.argv[2]).items() for m in ms\n"
+                 "        if hasattr(getattr(uniprior, c), m)]\n"
+                 "print(json.dumps([missing, sorted(set(dir(uniprior)) & set(missing)), kept]))",
+                 json.dumps(RETIRED), json.dumps(RETIRED_METHODS))
+    assert json.loads(out) == [list(RETIRED), [], []]
 
 
 def test_star_import_binds_all():

@@ -14,14 +14,14 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       TightReason, WorkGraph, bound_multi, classify_leaf_scc,
                       derive_message_graph, encode_multi,
                       exhaustive_lower_bound, find_connecting_trees,
-                      is_grounded, leaf_scc_sets, oracle_min_linear, reach,
+                      leaf_scc_sets, oracle_min_linear, reach,
                       run_algorithm2, senders_pairwise_disjoint, solve_single,
                       step_limit, symbol, v_out, verify_linear)
 from uniprior.multi import _apply, _child_score, _smallest_owner, _spanning_tree_edges, _steps
 
 from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
                         rand_multi, rand_single, rand_triples, wide_senders)
-from oracles import (brute_leaf_scc_sets, reference_exhaustive_lower_bound,
+from oracles import (brute_is_grounded, brute_leaf_scc_sets, reference_exhaustive_lower_bound,
                      reference_find_connecting_trees, reference_spanning_tree_edges)
 
 GAP = make_instance(6, [[1, 2], [2, 1], [3, 4], [4, 3], [5, 6], [6, 5]],
@@ -50,7 +50,7 @@ def test_gap_bound_run():
     rep = run_algorithm2(GAP)
     assert (rep.v_out_original, rep.connected_count, rep.iterations) == (6, 0, 2)
     assert rep.bound == 4
-    assert is_grounded(rep.final_graph)
+    assert brute_is_grounded(rep.final_graph)
     assert [(s.kind, sorted(s.scc), s.phase) for s in rep.steps] == [
         (StepKind.PRUNE_NON_DEGENERATED, [1, 2], "iteration"),
         (StepKind.APPEND_DEGENERATED, [3, 4], "iteration"),
@@ -457,7 +457,7 @@ def test_algorithm2_respects_step_limit_and_grounds():
     for _ in range(400):
         inst = rand_multi(rng, n_max=8)
         rep = run_algorithm2(inst)
-        assert is_grounded(rep.final_graph)
+        assert brute_is_grounded(rep.final_graph)
         assert len(rep.steps) <= step_limit(inst.n)
         assert rep.bound == v_out(rep.final_graph)
 
@@ -718,3 +718,39 @@ def test_sandwich_small():
         oracle = oracle_min_linear(inst)
         assert oracle.exact
         assert rep.lower <= rep.exhaustive.bound <= oracle.length <= rep.upper
+
+
+# binary instances of n 7-11 on which the exact exhaustive maximum is one
+# below the linear optimum, which the pairwise code attains (GAP is the
+# mirror case): arcs, senders, then lower, the exhaustive search's states,
+# and the oracle's node budget (the n=11 one is inexact at the default)
+BOUNDS_DIFFER = {
+    "n11": (11, [[1, 2], [2, 1], [3, 11], [4, 7], [5, 3], [7, 8], [8, 1], [8, 4], [9, 8],
+                 [9, 10], [10, 1], [10, 4], [10, 9], [11, 5]],
+            [[2, 10], [1], [3, 6, 9], [4, 8, 11], [5, 7], [2, 6, 11], [1, 3, 9]],
+            9, 10, 200_000),
+    "n9": (9, [[1, 9], [2, 4], [3, 7], [4, 8], [5, 6], [6, 5], [7, 3], [8, 1], [8, 2], [8, 6],
+               [9, 1]],
+           [[7, 8], [1, 3, 6], [5], [4, 9], [2], [3, 9], [5, 9]],
+           8, 32, 10_000),
+    "n8": (8, [[1, 4], [2, 6], [3, 2], [4, 1], [5, 8], [6, 3], [6, 4], [7, 4], [8, 4], [8, 5]],
+           [[1, 2, 5], [4], [3], [8], [6, 7], [4, 6, 7], [2, 4]],
+           7, 1, 10_000),
+    "n7": (7, [[1, 7], [2, 5], [3, 1], [4, 6], [5, 2], [5, 4], [6, 4], [7, 1], [7, 3]],
+           [[1], [7], [3, 5, 6], [2, 4], [1, 3, 5], [1, 3, 4]],
+           6, 10, 10_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_DIFFER))
+def test_where_the_bounds_differ(name):
+    n, arcs, senders, lower, states, max_nodes = BOUNDS_DIFFER[name]
+    inst = make_instance(n, arcs, senders)
+    assert bound_multi(inst).lower == lower
+    rep = bound_multi(inst, exhaustive=True)
+    assert (rep.lower, rep.upper, rep.tight, rep.tight_reason) == (lower, lower + 1, False, None)
+    assert rep.exhaustive == ExhaustiveResult(bound=lower, exact=True, states_visited=states)
+    oracle = oracle_min_linear(inst, max_nodes=max_nodes)
+    assert (oracle.length, oracle.exact) == (lower + 1, True)
+    if max_nodes > 10_000:
+        assert not oracle_min_linear(inst).exact

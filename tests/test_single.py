@@ -7,13 +7,12 @@ import random
 import pytest
 
 from uniprior import (LinearIndexCode, NotSingleSenderError, WorkGraph,
-                      encode_single, is_grounded, leaf_scc_sets,
-                      lower_bound_single, oracle_min_linear,
-                      predecessor_weight_bound, prune_all, solve_single,
-                      symbol, v_out, verify_linear)
+                      encode_single, leaf_scc_sets, oracle_min_linear, prune_all,
+                      solve_single, symbol, v_out, verify_linear)
 from uniprior.single import solve_arithmetic
 
-from generators import make_instance, rand_single
+from generators import cyclic_arcs, make_instance, rand_single
+from oracles import brute_is_grounded, reference_predecessor_weight_bound, reference_prune_all
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -101,7 +100,7 @@ def test_two_disjoint_two_cycles():
 def test_edgeless_graph_needs_nothing():
     inst = make_instance(3, [], [[1, 2, 3]], q=[2, 1, 3])
     g = WorkGraph.from_instance(inst)
-    assert lower_bound_single(g) == 0
+    assert solve_arithmetic(g)[3] == 0
     assert solve_single(inst).code.symbols == ()
 
 
@@ -128,12 +127,42 @@ def test_prune_all_grounds_and_drops_one_vertex_per_leaf_scc():
         g = WorkGraph.from_instance(inst)
         n_leaf = len(leaf_scc_sets(g))
         g2, trace = prune_all(g)
-        assert is_grounded(g2)
+        assert brute_is_grounded(g2)
         # pruning never creates leaf SCCs, so one step per original leaf SCC
         assert len(trace.steps) == n_leaf
         for step in trace.steps:
             assert step.removed_arcs == tuple(sorted(a for a in g.arcs if a[0] == step.vertex))
         assert v_out(g2) == v_out(g) - n_leaf
+
+
+def _weighted_graph(rng, cyclic):
+    """n <= 40 with weights 1-4, and 0 to 3n random arcs or, if cyclic,
+    disjoint 2- and 3-cycles plus up to n random arcs (many leaf SCCs)."""
+    n = rng.randint(2, 40)
+    if cyclic:
+        arcs = {tuple(a) for a in cyclic_arcs(rng, range(1, n + 1), rng.randint(0, n))}
+    else:
+        arcs = {(i, j) for i, j in (rng.sample(range(1, n + 1), 2)
+                                    for _ in range(rng.randint(0, 3 * n)))}
+    return WorkGraph(range(1, n + 1), arcs, {v: rng.randint(1, 4) for v in range(1, n + 1)})
+
+
+def test_prune_all_matches_step_by_step_reference():
+    # one pass over the root graph's leaf SCCs gives the trace and the
+    # grounded graph of pruning one leaf SCC at a time and looking again
+    rng = random.Random("prune-all")
+    graphs = [_weighted_graph(rng, cyclic=k % 3 == 0) for k in range(3000)]
+    golden = random.Random("cli-golden:single")  # test_cli_golden's single family
+    graphs += [WorkGraph.from_instance(rand_single(golden, n_max=6, q_max=2)) for _ in range(50)]
+    multi_step = 0
+    for g in graphs:
+        pruned, trace = prune_all(g)
+        ref_pruned, ref_trace = reference_prune_all(WorkGraph(g.vertices, g.arcs, g.weight))
+        assert trace == ref_trace
+        assert pruned == ref_pruned
+        assert leaf_scc_sets(pruned) == []
+        multi_step += len(trace.steps) > 1
+    assert multi_step > 500, multi_step
 
 
 def test_lower_bound_equals_pruned_predecessor_weight():
@@ -142,7 +171,7 @@ def test_lower_bound_equals_pruned_predecessor_weight():
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         g2, _ = prune_all(g)
-        assert lower_bound_single(g) == predecessor_weight_bound(g2)
+        assert solve_arithmetic(g)[3] == reference_predecessor_weight_bound(g2)
 
 
 def test_encode_length_equals_lower_bound_and_verifies():
@@ -151,7 +180,7 @@ def test_encode_length_equals_lower_bound_and_verifies():
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         code = encode_single(g)
-        assert len(code) == lower_bound_single(g)
+        assert len(code) == solve_arithmetic(g)[3]
         assert verify_linear(inst, code).valid
         # leaf messages are never transmitted
         leaves = {v for v in g.vertices if not g.out_neighbors(v)}
@@ -171,4 +200,5 @@ def test_lower_bound_monotone_under_arc_removal():
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         keep = frozenset(a for a in g.arcs if rng.random() < 0.6)
-        assert lower_bound_single(g.with_arcs(keep)) <= lower_bound_single(g)
+        assert solve_arithmetic(WorkGraph(g.vertices, keep, g.weight))[3] <= \
+            solve_arithmetic(g)[3]
