@@ -27,7 +27,7 @@ _HOMES = {
               "check_code", "symbol", "parse_code", "serialize_code", "load_code",
               "verify_linear", "verify_exhaustive", "oracle_min_linear"),
     "single": ("PruneStep", "PruneTrace", "SingleSolution", "NotSingleSenderError",
-               "prune_all", "encode_single", "solve_single"),
+               "encode_single", "solve_single"),
     "classify": ("Kind", "LeafSccClass", "DegeneracyWitness", "classify_leaf_scc",
                  "find_degeneracy_witness"),
     "multi": ("StepKind", "StepRecord", "LowerBoundReport", "ExhaustiveResult",

@@ -389,6 +389,17 @@ def _is_tree_vertex_set(g: WorkGraph, u: MessageGraph, vs: frozenset[int],
     return u.connected_within(vs)
 
 
+def _spans(vs: frozenset[int], edges) -> bool:
+    """Whether edges are |vs| - 1 pairs inside vs (|vs| >= 2) that connect it."""
+    if len(edges) != len(vs) - 1 or not {v for e in edges for v in e} <= vs:
+        return False
+    adj = {v: [] for v in vs}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return _closure(adj, (min(vs),)) == vs
+
+
 def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple[int, int]]:
     """Kruskal over the induced edges (a, b), a < b, in sorted order:
     a ascending over vs, then b ascending over a's neighbours in vs.  A
@@ -412,13 +423,16 @@ def _spanning_tree_edges(u: MessageGraph, vs: frozenset[int]) -> frozenset[tuple
     return frozenset(chosen)
 
 
-def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchResult:
+EXACT_LIMIT = 12
+
+
+def find_connecting_trees(inst: Instance) -> TreeSearchResult:
     """Maximum number of vertex-disjoint connecting trees.
 
     A valid tree vertex set (closed under out-arcs, leaf-free,
     message-connected, clear of message-connected leaf SCCs) is the
     union of its members' out-closures reach(v) | {v}, each free of
-    leaves and of those SCCs.  Exact for n up to exact_limit: pack the
+    leaves and of those SCCs.  Exact for n up to EXACT_LIMIT: pack the
     inclusion-minimal message-connected unions of such closures by
     memoized search (shrinking a chosen set never hurts a packing).
     Larger n packs the connected closures greedily, smallest first,
@@ -431,7 +445,7 @@ def find_connecting_trees(inst: Instance, exact_limit: int = 12) -> TreeSearchRe
     dead = banned | _closure(g._in, banned)
     real = g.real_vertices()
     closures = {reach(g, v) | {v} for v in real if v not in dead}
-    exact = inst.n <= exact_limit
+    exact = inst.n <= EXACT_LIMIT
 
     if exact:
         unions = {frozenset()}
@@ -496,7 +510,7 @@ def encode_multi(inst: Instance, trees: tuple[ConnectingTree, ...]) -> LinearInd
 
     seen: set[int] = set()
     for t in trees:
-        if not _is_tree_vertex_set(g, u, t.vertices, blocked):
+        if not _is_tree_vertex_set(g, u, t.vertices, blocked) or not _spans(t.vertices, t.edges):
             raise ValueError(f"invalid connecting tree on {sorted(t.vertices)}")
         if t.vertices & seen:
             raise ValueError("connecting trees must be vertex-disjoint")

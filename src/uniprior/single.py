@@ -1,9 +1,11 @@
-"""Single-sender solver: pruning, the exact codelength, and cyclic codes.
+"""Single-sender solver: the exact codelength, its pruning trace, cyclic codes.
 
 The optimal codelength is total weight, minus the weight of leaf
 vertices (nobody wants those messages), minus one minimum weight per
-leaf SCC (the cyclic-code saving).  Pruning one minimum-weight vertex of
-each leaf SCC grounds the graph and gives the trace the solution shows.
+leaf SCC (the cyclic-code saving).  Pruning a minimum-weight vertex of
+each leaf SCC grounds the graph; a prune creates no leaf SCC and touches
+no other (rule 1 of ``graph``'s module docstring), so the trace is read
+off the root graph's leaf SCCs, and no pruned graph is built.
 """
 
 from __future__ import annotations
@@ -25,23 +27,6 @@ PruneTrace = namedtuple("PruneTrace", "steps")
 # arithmetic: total weight, leaf weight, per-SCC minimum sum
 SingleSolution = namedtuple("SingleSolution",
                             "optimal_length lower_bound code trace arithmetic")
-
-
-def prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
-    """Ground the graph: in each leaf SCC, remove all out-arcs of one
-    minimum-weight vertex (smallest id on ties).  A prune creates no leaf
-    SCC (rule 1 of ``graph``'s module docstring) and touches no other
-    one, so the steps are the root graph's leaf SCCs, in order."""
-    if g.dummies:
-        raise ValueError("prune_all expects a graph without dummy vertices")
-    steps = []
-    for scc in _leaf_sccs(g):
-        pick = min(scc, key=lambda v: (g.weight[v], v))
-        steps.append(PruneStep(scc=scc, vertex=pick,
-                               removed_arcs=tuple((pick, j) for j in g.out_neighbors(pick))))
-    for step in steps:
-        g = g.without_out_arcs(step.vertex)
-    return g, PruneTrace(steps=tuple(steps))
 
 
 def encode_single(g: WorkGraph) -> LinearIndexCode:
@@ -77,29 +62,26 @@ def encode_single(g: WorkGraph) -> LinearIndexCode:
 def solve_single(inst: Instance) -> SingleSolution:
     """Exact optimum for a one-sender instance: the pruning bound is
     achieved by the cyclic-code construction, so lower bound, codelength
-    and optimum coincide."""
+    and optimum coincide.  Each leaf SCC's step prunes its minimum-weight
+    vertex (smallest id on ties), whose weight is the SCC's minimum."""
     if len(inst.senders) != 1:
         raise NotSingleSenderError(
             f"instance has {len(inst.senders)} senders; this solver handles exactly one")
     g = WorkGraph.from_instance(inst)
-    total, leaf_w, scc_min, bound = solve_arithmetic(g)
-    code = encode_single(g)
-    _, trace = prune_all(g)
-    return SingleSolution(optimal_length=bound, lower_bound=bound, code=code, trace=trace,
+    steps = []
+    scc_min = 0
+    for scc in _leaf_sccs(g):
+        pick = min(scc, key=lambda v: (g.weight[v], v))
+        steps.append(PruneStep(scc=scc, vertex=pick,
+                               removed_arcs=tuple((pick, j) for j in g.out_neighbors(pick))))
+        scc_min += g.weight[pick]
+    total = sum(g.weight.values())
+    leaf_w = sum(g.weight[v] for v in leaf_vertices(g))
+    bound = total - leaf_w - scc_min
+    return SingleSolution(optimal_length=bound, lower_bound=bound, code=encode_single(g),
+                          trace=PruneTrace(steps=tuple(steps)),
                           arithmetic=(total, leaf_w, scc_min))
 
 
-def solve_arithmetic(g: WorkGraph) -> tuple[int, int, int, int]:
-    """The three terms of the codelength formula plus the result, for
-    display: total - leaf weight - per-SCC minimum sum."""
-    total = sum(g.weight[v] for v in g.vertices)
-    leaf_w = sum(g.weight[v] for v in leaf_vertices(g))
-    scc_min = sum(min(g.weight[v] for v in scc) for scc in _leaf_sccs(g))
-    return total, leaf_w, scc_min, total - leaf_w - scc_min
-
-
-__all__ = [
-    "NotSingleSenderError", "PruneStep", "PruneTrace", "SingleSolution",
-    "prune_all", "encode_single", "solve_single",
-    "solve_arithmetic",
-]
+__all__ = ["NotSingleSenderError", "PruneStep", "PruneTrace", "SingleSolution",
+           "encode_single", "solve_single"]

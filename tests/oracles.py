@@ -173,6 +173,14 @@ def reference_prune_all(g: WorkGraph) -> tuple[WorkGraph, PruneTrace]:
     return g, PruneTrace(steps=tuple(steps))
 
 
+def reference_codelength(g: WorkGraph) -> int:
+    """The single-sender optimum by its formula: total weight, minus the
+    weight of the leaves, minus one minimum weight per leaf SCC."""
+    leaf_w = sum(g.weight[v] for v in g.vertices if not g.out_neighbors(v))
+    scc_min = sum(min(g.weight[v] for v in scc) for scc in brute_leaf_scc_sets(g))
+    return sum(g.weight[v] for v in g.vertices) - leaf_w - scc_min
+
+
 def reference_neighbors(u: MessageGraph, v: int) -> set[int]:
     """Neighbors of v by a scan of the whole edge set."""
     out = set()

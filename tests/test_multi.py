@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 import re
 import sys
@@ -19,8 +20,9 @@ from uniprior import (BinaryRequiredError, ExhaustiveResult, Kind, StepKind,
                       step_limit, symbol, v_out, verify_linear)
 from uniprior.multi import _apply, _child_score, _smallest_owner, _spanning_tree_edges, _steps
 
-from generators import (big_sender_clusters, make_instance, rand_cyclic, rand_disjoint,
-                        rand_multi, rand_single, rand_triples, wide_senders)
+from generators import (big_sender_clusters, cyclic_arcs, make_instance, rand_arcs,
+                        rand_cyclic, rand_disjoint, rand_multi, rand_senders, rand_single,
+                        rand_triples, wide_senders)
 from oracles import (brute_is_grounded, brute_leaf_scc_sets, reference_exhaustive_lower_bound,
                      reference_find_connecting_trees, reference_spanning_tree_edges)
 
@@ -523,7 +525,7 @@ def test_tree_sets_are_closed_leaf_free_and_message_connected():
     assert found >= 100
 
 
-def test_greedy_tree_search_beyond_limit_is_flagged():
+def test_greedy_tree_search_beyond_limit_is_flagged(monkeypatch):
     # five of the D1 triples: each {i, j, k} is a connecting tree
     arcs, senders = [], []
     for b in range(5):
@@ -531,10 +533,11 @@ def test_greedy_tree_search_beyond_limit_is_flagged():
         arcs += [[i, j], [j, i], [k, i]]
         senders += [[i, k], [j, k]]
     inst = make_instance(15, arcs, senders)
-    res = find_connecting_trees(inst, exact_limit=12)
+    res = find_connecting_trees(inst)
     assert not res.exact
     assert len(res.trees) == 5
-    exact = find_connecting_trees(inst, exact_limit=15)
+    monkeypatch.setattr("uniprior.multi.EXACT_LIMIT", 15)
+    exact = find_connecting_trees(inst)
     assert exact.exact
     assert [sorted(t.vertices) for t in exact.trees] \
         == [sorted(t.vertices) for t in res.trees]
@@ -573,7 +576,7 @@ def test_tree_search_matches_subset_enumeration():
     assert found >= 100 and greedy == 60
 
 
-def test_exact_tree_search_takes_unions_of_closures():
+def test_exact_tree_search_takes_unions_of_closures(monkeypatch):
     # leaf SCC {1, 2, 3, 4} (cycles 1<->2, 3<->4 joined by 2->3, 4->1) is
     # message-disconnected; 5->1 and 7->3 feed it, and only the union of
     # the closures of 5 and 7 is message-connected, through 6-8
@@ -585,7 +588,8 @@ def test_exact_tree_search_takes_unions_of_closures():
     assert res.exact
     assert [sorted(t.vertices) for t in res.trees] == [list(range(1, 9))]
     assert _trees(res) == _trees(reference_find_connecting_trees(inst))
-    assert find_connecting_trees(inst, exact_limit=11).trees == ()
+    monkeypatch.setattr("uniprior.multi.EXACT_LIMIT", 11)
+    assert find_connecting_trees(inst).trees == ()
 
 
 def test_spanning_tree_edges_match_sorted_kruskal():
@@ -681,6 +685,26 @@ def test_encode_rejects_foreign_trees():
     with pytest.raises(ValueError):
         encode_multi(D1, (ConnectingTree(vertices=frozenset({1, 3}),
                                          edges=frozenset({(1, 3)})),))
+    # a valid vertex set whose edges are too few to connect it: the
+    # one-symbol code this used to give fails verify_linear
+    inst = make_instance(6, [[1, 2], [1, 4], [2, 1], [2, 4], [2, 5], [3, 2], [3, 5], [3, 6],
+                             [4, 1], [4, 5], [5, 6], [6, 4]],
+                         [[2, 3, 5], [1, 4, 6], [1, 3, 4]])
+    [tree] = find_connecting_trees(inst).trees
+    assert tree.vertices == frozenset(range(1, 7))
+    assert verify_linear(inst, encode_multi(inst, (tree,))).valid
+    # GAP's tree on {1, 2, 3, 4} with (1, 3) moved to (1, 5), a
+    # message-graph edge leaving the set; with (2, 4) replaced by (3, 2),
+    # which leaves 4 out; with (3, 2) added, one pair too many
+    [gap_tree] = find_connecting_trees(GAP).trees
+    assert gap_tree.edges == {(1, 3), (2, 3), (2, 4)}
+    bad_trees = [(inst, tree._replace(edges=frozenset({(1, 3)})))]
+    bad_trees += [(GAP, gap_tree._replace(edges=frozenset(edges)))
+                  for edges in ({(1, 5), (2, 3), (2, 4)}, {(1, 3), (2, 3), (3, 2)},
+                                {(1, 3), (2, 3), (2, 4), (3, 2)})]
+    for inst, bad in bad_trees:
+        with pytest.raises(ValueError, match="invalid connecting tree"):
+            encode_multi(inst, (bad,))
 
 
 def test_init_grounding_means_tight():
@@ -754,3 +778,36 @@ def test_where_the_bounds_differ(name):
     assert (oracle.length, oracle.exact) == (lower + 1, True)
     if max_nodes > 10_000:
         assert not oracle_min_linear(inst).exact
+
+
+def _sweep(count):
+    """The first count multi-sender binary instances of n 7-11 from
+    random.Random(5): random arcs for every third draw, disjoint 2- and
+    3-cycles plus a few arcs for the others; one-sender draws skipped."""
+    rng = random.Random(5)
+    insts = []
+    for k in itertools.count():
+        if len(insts) == count:
+            return insts
+        n = rng.randint(7, 11)
+        if k % 3 == 0:
+            arcs = rand_arcs(rng, n, rng.uniform(0.15, 0.45))
+        else:
+            arcs = cyclic_arcs(rng, range(1, n + 1), n // 4 + k % 3)
+        senders = rand_senders(rng, n, size_max=rng.choice([2, 3, 4]))
+        if len(senders) > 1:
+            insts.append(make_instance(n, arcs, senders))
+
+
+def test_sandwich_on_the_n7_11_sweep():
+    # lower <= oracle <= upper and exhaustive <= oracle wherever the
+    # oracle is exact at its default node budget, on a fixed prefix
+    exact = 0
+    for inst in _sweep(60):
+        rep = bound_multi(inst, exhaustive=True)
+        oracle = oracle_min_linear(inst)
+        if oracle.exact:
+            exact += 1
+            assert rep.lower <= oracle.length <= rep.upper
+            assert rep.exhaustive.bound <= oracle.length
+    assert exact >= 45, exact

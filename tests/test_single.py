@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from uniprior import (LinearIndexCode, NotSingleSenderError, WorkGraph,
-                      encode_single, leaf_scc_sets, oracle_min_linear, prune_all,
-                      solve_single, symbol, v_out, verify_linear)
-from uniprior.single import solve_arithmetic
+from uniprior import (LinearIndexCode, NotSingleSenderError, WorkGraph, cli,
+                      encode_single, leaf_scc_sets, oracle_min_linear, solve_single,
+                      symbol, v_out, verify_linear)
 
 from generators import cyclic_arcs, make_instance, rand_single
-from oracles import brute_is_grounded, reference_predecessor_weight_bound, reference_prune_all
+from oracles import (brute_is_grounded, reference_codelength,
+                     reference_predecessor_weight_bound, reference_prune_all)
 
 EX2 = make_instance(5, [[2, 1], [3, 1], [1, 2], [3, 2], [1, 3], [2, 3], [4, 5]],
                     [[1, 2, 3, 4, 5]], q=[1, 2, 2, 2, 2])
@@ -33,7 +34,8 @@ def test_example_weighted():
         symbol(1, (4, 2)),
     ))
     assert verify_linear(EX2, sol.code).valid
-    assert solve_arithmetic(WorkGraph.from_instance(EX2)) == (9, 2, 1, 6)
+    assert sol.arithmetic == (9, 2, 1)
+    assert reference_codelength(WorkGraph.from_instance(EX2)) == 6
     [step] = sol.trace.steps
     assert sorted(step.scc) == [1, 2, 3]
     assert step.vertex == 1
@@ -43,7 +45,8 @@ def test_example_weighted():
 def test_example_binary():
     sol = solve_single(EX1)
     assert sol.optimal_length == 3
-    assert solve_arithmetic(WorkGraph.from_instance(EX1)) == (4, 0, 1, 3)
+    assert sol.arithmetic == (4, 0, 1)
+    assert reference_codelength(WorkGraph.from_instance(EX1)) == 3
     assert verify_linear(EX1, sol.code).valid
 
 
@@ -73,35 +76,32 @@ def test_cyclic_code_remainder_bits():
 def test_min_weight_vertex_pruned_with_tie_break():
     # weights 2,1,1: vertex 2 and 3 tie at weight 1; vertex 2 wins
     inst = make_instance(3, [[1, 2], [2, 3], [3, 1]], [[1, 2, 3]], q=[2, 1, 1])
-    _, trace = prune_all(WorkGraph.from_instance(inst))
-    [step] = trace.steps
+    [step] = solve_single(inst).trace.steps
     assert step.vertex == 2
 
 
-def test_prune_all_noop_on_grounded_input():
+def test_no_prune_on_grounded_input():
     chain = make_instance(3, [[1, 2], [2, 3]], [[1, 2, 3]])
-    g = WorkGraph.from_instance(chain)
-    g2, trace = prune_all(g)
-    assert g2 == g
-    assert trace.steps == ()
-    assert encode_single(g).symbols == (symbol(1, (1, 1)), symbol(1, (2, 1)))
+    sol = solve_single(chain)
+    assert sol.trace.steps == ()
+    assert sol.arithmetic == (3, 1, 0)
+    assert sol.code.symbols == (symbol(1, (1, 1)), symbol(1, (2, 1)))
+    assert encode_single(WorkGraph.from_instance(chain)) == sol.code
 
 
 def test_two_disjoint_two_cycles():
     inst = make_instance(4, [[1, 2], [2, 1], [3, 4], [4, 3]], [[1, 2, 3, 4]])
-    g = WorkGraph.from_instance(inst)
-    _, trace = prune_all(g)
-    assert [s.vertex for s in trace.steps] == [1, 3]
     sol = solve_single(inst)
+    assert [s.vertex for s in sol.trace.steps] == [1, 3]
     assert sol.optimal_length == 2 == 4 - 0 - 2
     assert sol.optimal_length == oracle_min_linear(inst).length
 
 
 def test_edgeless_graph_needs_nothing():
     inst = make_instance(3, [], [[1, 2, 3]], q=[2, 1, 3])
-    g = WorkGraph.from_instance(inst)
-    assert solve_arithmetic(g)[3] == 0
-    assert solve_single(inst).code.symbols == ()
+    sol = solve_single(inst)
+    assert (sol.optimal_length, sol.arithmetic) == (0, (6, 6, 0))
+    assert sol.code.symbols == ()
 
 
 def test_binary_solution_counts_leaves_and_leaf_sccs():
@@ -120,13 +120,21 @@ def test_multi_sender_rejected():
         solve_single(d1)
 
 
-def test_prune_all_grounds_and_drops_one_vertex_per_leaf_scc():
+def _pruned(g: WorkGraph, trace) -> WorkGraph:
+    """g with the trace's steps applied, one at a time."""
+    for step in trace.steps:
+        g = g.without_out_arcs(step.vertex)
+    return g
+
+
+def test_trace_grounds_and_drops_one_vertex_per_leaf_scc():
     rng = random.Random(43)
     for _ in range(300):
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         n_leaf = len(leaf_scc_sets(g))
-        g2, trace = prune_all(g)
+        trace = solve_single(inst).trace
+        g2 = _pruned(g, trace)
         assert brute_is_grounded(g2)
         # pruning never creates leaf SCCs, so one step per original leaf SCC
         assert len(trace.steps) == n_leaf
@@ -147,31 +155,66 @@ def _weighted_graph(rng, cyclic):
     return WorkGraph(range(1, n + 1), arcs, {v: rng.randint(1, 4) for v in range(1, n + 1)})
 
 
-def test_prune_all_matches_step_by_step_reference():
-    # one pass over the root graph's leaf SCCs gives the trace and the
-    # grounded graph of pruning one leaf SCC at a time and looking again
+def _instance(g: WorkGraph):
+    """The one-sender instance whose graph is g (vertices 1..n)."""
+    n = len(g.vertices)
+    return make_instance(n, sorted(map(list, g.arcs)), [list(range(1, n + 1))],
+                         q=[g.weight[v] for v in g.vertices])
+
+
+def test_trace_matches_step_by_step_reference():
+    # one walk of the root graph's leaf SCCs gives the trace of pruning
+    # one leaf SCC at a time and looking again, and the steps ground g
     rng = random.Random("prune-all")
     graphs = [_weighted_graph(rng, cyclic=k % 3 == 0) for k in range(3000)]
     golden = random.Random("cli-golden:single")  # test_cli_golden's single family
     graphs += [WorkGraph.from_instance(rand_single(golden, n_max=6, q_max=2)) for _ in range(50)]
     multi_step = 0
     for g in graphs:
-        pruned, trace = prune_all(g)
-        ref_pruned, ref_trace = reference_prune_all(WorkGraph(g.vertices, g.arcs, g.weight))
-        assert trace == ref_trace
+        sol = solve_single(_instance(g))
+        ref_pruned, ref_trace = reference_prune_all(g)
+        assert sol.trace == ref_trace
+        pruned = _pruned(g, sol.trace)
         assert pruned == ref_pruned
-        assert leaf_scc_sets(pruned) == []
-        multi_step += len(trace.steps) > 1
+        assert brute_is_grounded(pruned)
+        assert sol.optimal_length == reference_codelength(g)
+        multi_step += len(sol.trace.steps) > 1
     assert multi_step > 500, multi_step
+
+
+def test_solve_builds_no_pruned_graph(monkeypatch, tmp_path, capsys):
+    # solve_single reads the trace off the root graph: no step is applied
+    # and no graph is built but the root, whatever the number of leaf SCCs
+    calls = []
+    for name in ("without_out_arcs", "_child"):
+        real = getattr(WorkGraph, name)
+        monkeypatch.setattr(WorkGraph, name,
+                            lambda self, *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(self, *a, **k))
+    rng = random.Random("no-prune-copies")
+    steps = 0
+    for k in range(200):
+        sol = solve_single(_instance(_weighted_graph(rng, cyclic=k % 2 == 0)))
+        steps += len(sol.trace.steps)
+    n = 400  # n/2 disjoint 2-cycles under one sender
+    doc = {"n": n, "q": [1] * n, "senders": [list(range(1, n + 1))],
+           "arcs": [[i, i + 1] for i in range(1, n, 2)] + [[i + 1, i] for i in range(1, n, 2)]}
+    assert len(solve_single(make_instance(**doc)).trace.steps) == n // 2
+    path = tmp_path / "two-cycles.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(path)]) == 0
+    assert "optimal codelength = 400 - 0 - 200 = 200" in capsys.readouterr().out
+    assert steps > 300, steps
+    assert calls == []
 
 
 def test_lower_bound_equals_pruned_predecessor_weight():
     rng = random.Random(47)
     for _ in range(300):
         inst = rand_single(rng, n_max=8, q_max=3)
-        g = WorkGraph.from_instance(inst)
-        g2, _ = prune_all(g)
-        assert solve_arithmetic(g)[3] == reference_predecessor_weight_bound(g2)
+        sol = solve_single(inst)
+        g2 = _pruned(WorkGraph.from_instance(inst), sol.trace)
+        assert sol.optimal_length == reference_predecessor_weight_bound(g2)
 
 
 def test_encode_length_equals_lower_bound_and_verifies():
@@ -180,7 +223,7 @@ def test_encode_length_equals_lower_bound_and_verifies():
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         code = encode_single(g)
-        assert len(code) == solve_arithmetic(g)[3]
+        assert len(code) == reference_codelength(g)
         assert verify_linear(inst, code).valid
         # leaf messages are never transmitted
         leaves = {v for v in g.vertices if not g.out_neighbors(v)}
@@ -200,5 +243,5 @@ def test_lower_bound_monotone_under_arc_removal():
         inst = rand_single(rng, n_max=8, q_max=3)
         g = WorkGraph.from_instance(inst)
         keep = frozenset(a for a in g.arcs if rng.random() < 0.6)
-        assert solve_arithmetic(WorkGraph(g.vertices, keep, g.weight))[3] <= \
-            solve_arithmetic(g)[3]
+        assert solve_single(_instance(WorkGraph(g.vertices, keep, g.weight))).optimal_length \
+            <= solve_single(inst).optimal_length
