@@ -113,7 +113,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bound(args) -> int:
     inst = _load_valid_instance(args.instance)
-    report = multi.bound_multi(inst, exhaustive=args.exhaustive, max_states=args.max_states)
+    report = multi.bound_multi(inst, exhaustive=args.exhaustive,
+                               max_states=args.max_states or 10 ** 6)
     partial = ((report.exhaustive is not None and not report.exhaustive.exact)
                or not report.trees_exact)
     lr = report.lower_report
@@ -256,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("instance")
     sp.add_argument("--exhaustive", action="store_true",
                     help="also maximize the lower bound over all step sequences")
-    sp.add_argument("--max-states", type=int, default=10 ** 6,
-                    help="state cap for the exhaustive search")
+    sp.add_argument("--max-states", type=int, default=None,
+                    help="state cap for the exhaustive search (default 1000000)")
     sp.set_defaults(func=_cmd_bound)
 
     sp = sub.add_parser("encode", parents=[common], help="write a code file")
@@ -306,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, cap, None) is not None and getattr(args, cap) <= 0:
             print(f"error: --{cap.replace('_', '-')} must be positive", file=sys.stderr)
             return EXIT_INVALID
+    if getattr(args, "max_states", None) is not None and not args.exhaustive:
+        print("error: --max-states needs --exhaustive", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except CliError as e:

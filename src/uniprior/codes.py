@@ -3,7 +3,8 @@
 Every transmitted symbol is a single XOR of message bits, owned by one
 sender and supported only on that sender's messages.  Message bit (j, b)
 maps to one coordinate of a bit-packed integer vector; all rank work is
-integer XOR elimination.
+integer XOR elimination.  The JSON-text section writes the CLI's
+documents and code files.
 """
 
 from __future__ import annotations
@@ -88,36 +89,12 @@ def serialize_code(code: LinearIndexCode) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _jsonable(obj):
-    """obj in plain JSON types.  The emitter sorts a set by these values
-    and uses this for the types it has no fast path for."""
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    fields = _record_fields(obj)
-    if fields is not None:
-        return {f: _jsonable(getattr(obj, f)) for f in fields}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(x) for x in obj)
-    return obj  # a WorkGraph too: it is unhashable, so in no set sorted here
-
-
-def _record_fields(obj):
-    """The field names of a record, which writes as a JSON object: the
-    package's named tuples and value classes by ``_fields``, any other
-    dataclass by its fields; None for anything else."""
-    fields = getattr(obj, "_fields", None)
-    return getattr(obj, "__dataclass_fields__", None) if fields is None else fields
-
-
 def json_text(obj) -> str:
-    """``json.dumps(_jsonable(obj), indent=2, sort_keys=True)``, byte for
-    byte, in one walk.  Given an indent, json.dumps runs its pure-Python
-    encoder, after a second walk to convert obj; this is the CLI's and
-    ``serialize_code``'s JSON output."""
+    """obj as ``json.dumps(..., indent=2, sort_keys=True)`` writes its
+    plain form, in one walk.  It takes ints, strings, bools, None, lists,
+    tuples, dicts (keys through ``str``), sets (sorted), Enums (their
+    values), records (by ``_fields``), code symbols and work graphs; any
+    other type raises TypeError, as json.dumps does."""
     return _emit(obj, "\n")
 
 
@@ -139,7 +116,7 @@ def _emit(obj, nl: str) -> str:
         inner = nl + "  "
         if type(obj[0]) is CodeSymbol:
             items = _symbol_texts(obj, inner)
-            items += [_emit(x, inner) for x in obj[len(items):]]  # from the first it cannot write
+            items += [_emit(x, inner) for x in obj[len(items):]]  # from the first non-symbol
         else:
             for x in obj:
                 if type(x) is not int:
@@ -156,9 +133,7 @@ def _emit(obj, nl: str) -> str:
         return ("{" + inner + ("," + inner).join([_encode_str(k) + ": " + _emit(d[k], inner)
                                                   for k in sorted(d)]) + nl + "}")
     if t is CodeSymbol:
-        texts = _symbol_texts((obj,), nl)
-        if texts:  # else the record walk below
-            return texts[0]
+        return _symbol_texts((obj,), nl)[0]
     if obj is None:
         return "null"
     if obj is True:
@@ -166,21 +141,16 @@ def _emit(obj, nl: str) -> str:
     if obj is False:
         return "false"
     if t is frozenset or t is set:
-        for x in obj:
-            if type(x) is not int:
-                return _emit(sorted(map(_jsonable, obj)), nl)
         return _emit(sorted(obj), nl)
-    keys = _FIELD_KEYS.get(t)
+    keys = _FIELD_KEYS.get(t)  # before graph.WorkGraph, which loads graph
     if keys is None:
         if isinstance(obj, Enum):
             return _emit(obj.value, nl)
-        fields = _record_fields(obj)
+        fields = getattr(obj, "_fields", None)
         if fields is None:
             if isinstance(obj, graph.WorkGraph):
                 return _graph_text(obj, nl)
-            if isinstance(obj, (dict, list, tuple, frozenset, set)):
-                return _emit(_jsonable(obj), nl)  # subclasses
-            return json.dumps(obj)  # float, int and str subclasses; TypeError otherwise
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
         keys = _FIELD_KEYS[t] = [(f, _encode_str(f) + ": ") for f in sorted(fields)]
     if not keys:
         return "{}"
@@ -190,46 +160,37 @@ def _emit(obj, nl: str) -> str:
 
 
 def _symbol_texts(seq, nl: str) -> list[str]:
-    """The text of each code symbol seq starts with, up to the first item
-    that is no symbol of plain ints: the bytes of the record walk, which
-    bools and Enums take, as they print differently from the ints they
-    equal.  A symbol with one or two terms is one %-template, a longer
-    one a template per term pair."""
-    one, two, sym, pair, comma = _TEMPLATES.get(nl) or _templates(nl)
+    """The text of each code symbol seq starts with, up to its first
+    item that is no symbol.  A symbol with one or two terms is one
+    %-template, a longer one a template per term pair; %d writes a bool
+    or IntEnum as the int it equals."""
+    empty, one, two, sym, pair, comma = _TEMPLATES.get(nl) or _templates(nl)
     texts = []
     for s in seq:
         if type(s) is not CodeSymbol:
             break
         sender, terms = s
-        if type(sender) is not int or type(terms) is not tuple or not terms:
-            break
-        for p in terms:
-            if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int \
-                    or type(p[1]) is not int:
-                break
-        else:
-            texts.append(one % ((sender,) + terms[0]) if len(terms) == 1
-                         else two % ((sender,) + terms[0] + terms[1]) if len(terms) == 2
-                         else sym % (sender, comma.join([pair % p for p in terms])))
-            continue
-        break
+        texts.append(one % ((sender,) + terms[0]) if len(terms) == 1
+                     else two % ((sender,) + terms[0] + terms[1]) if len(terms) == 2
+                     else sym % (sender, comma.join([pair % p for p in terms])) if terms
+                     else empty % sender)
     return texts
 
 
 # nl -> the %-templates of a code symbol whose braces start on line nl,
-# with one term, with two, and with its term pairs as one %s; of a term
+# with no term, one, two, and with its term pairs as one %s; of a term
 # pair (or a graph's arc), and the separator between pairs
-_TEMPLATES: dict[str, tuple[str, str, str, str, str]] = {}
+_TEMPLATES: dict[str, tuple[str, str, str, str, str, str]] = {}
 
 
-def _templates(nl: str) -> tuple[str, str, str, str, str]:
+def _templates(nl: str) -> tuple[str, str, str, str, str, str]:
     i1 = nl + "  "  # the symbol's fields
     i2 = i1 + "  "  # a term's brackets
     i3 = i2 + "  "  # a term's message and bit
     sym = "{" + i1 + '"sender": %d,' + i1 + '"terms": [' + i2 + "%s" + i1 + "]" + nl + "}"
     pair = "[" + i3 + "%d," + i3 + "%d" + i2 + "]"
-    _TEMPLATES[nl] = (sym.replace("%s", pair), sym.replace("%s", pair + "," + i2 + pair),
-                      sym, pair, "," + i2)
+    _TEMPLATES[nl] = (sym.replace(i2 + "%s" + i1, ""), sym.replace("%s", pair),
+                      sym.replace("%s", pair + "," + i2 + pair), sym, pair, "," + i2)
     return _TEMPLATES[nl]
 
 
@@ -237,20 +198,14 @@ def _graph_text(g: graph.WorkGraph, nl: str) -> str:
     """A graph as the object of its arcs, dummies, vertices and weights,
     written from its adjacency: its vertices and each out-neighbour tuple
     are sorted, so the arcs come in order.  Weight keys are strings, so
-    they sort as strings ("10" before "2").  A vertex, weight or arc head
-    that is no plain int takes the walk of the same object."""
+    they sort as strings ("10" before "2")."""
     out, weight = g._out, g.weight
-    arcs = [(v, w) for v, ns in out.items() for w in ns]  # out's keys: the vertices, once each
-    if not all(type(v) is int and type(weight[v]) is int for v in out) \
-            or not all(type(w) is int for _, w in arcs):
-        return _emit({"vertices": list(g.vertices), "arcs": [list(a) for a in sorted(g.arcs)],
-                      "weight": {str(v): weight[v] for v in g.vertices},
-                      "dummies": sorted(g.dummies)}, nl)
-    pair, comma = (_TEMPLATES.get(nl) or _templates(nl))[3:]
+    pair, comma = (_TEMPLATES.get(nl) or _templates(nl))[4:]
     i1 = nl + "  "
+    arcs = [pair % (v, w) for v, ns in out.items() for w in ns]  # out's keys: the vertices
     weights = ['"%d": %d' % (v, weight[v]) for v in sorted(out, key=str)]
-    return ("{" + i1 + '"arcs": ' + ("[" + comma[1:] + comma.join([pair % a for a in arcs]) + i1
-                                     + "]" if arcs else "[]")
+    return ("{" + i1 + '"arcs": ' + ("[" + comma[1:] + comma.join(arcs) + i1 + "]" if arcs
+                                     else "[]")
             + "," + i1 + '"dummies": ' + _emit(sorted(g.dummies), i1) + "," + i1 + '"vertices": '
             + _emit(g.vertices, i1) + "," + i1 + '"weight": '
             + ("{" + comma[1:] + comma.join(weights) + i1 + "}" if weights else "{}") + nl + "}")

@@ -461,8 +461,6 @@ def _reference_jsonable(obj):
             "weight": {str(v): obj.weight[v] for v in obj.vertices},
             "dummies": sorted(obj.dummies),
         }
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f: _reference_jsonable(getattr(obj, f)) for f in obj.__dataclass_fields__}
     return obj
 
 

@@ -117,6 +117,13 @@ def test_bound_truncated_is_partial(files, capsys):
     assert "partial" in out
 
 
+def test_max_states_needs_exhaustive(files, capsys):
+    status, out, err = run(capsys, "bound", files["gap"], "--max-states", "5")
+    assert (status, out) == (1, "")
+    assert err == "error: --max-states needs --exhaustive\n"
+    assert run(capsys, "bound", files["gap"], "--exhaustive", "--max-states", "0")[0] == 1
+
+
 def test_encode_verify_round_trip(files, capsys):
     code_path = str(files["dir"] / "out.code.json")
     status, out, _ = run(capsys, "encode", files["gap"], "-o", code_path)

@@ -3,12 +3,13 @@
 ``json_text(doc)`` must equal ``reference_emit_json(doc)`` (conversion
 to plain JSON types, then ``json.dumps(..., indent=2, sort_keys=True)``)
 byte for byte: on every document the CLI emits, for every report type
-over seeded instances, and on edge cases.  ``serialize_code`` must equal
-``json.dumps(doc, indent=2) + "\\n"``.  Both write the code symbols of
-plain ints that a list starts with from whole-symbol %-templates,
-checked here on codes from every producer, and any other symbol through
-the generic record walk.  A work graph of plain ints is written from its
-adjacency, any other through the walk of the same object.
+over seeded instances, and on edge cases of every type the package
+builds.  ``serialize_code`` must equal ``json.dumps(doc, indent=2) +
+"\\n"``.  Code symbols are written from %-templates, checked here on
+codes from every producer and on lists that mix symbols with other
+items; a work graph is written from its adjacency.  Any type the
+package does not build raises TypeError, and a symbol holding a bool
+or IntEnum is written as the ints it equals.
 
 The file needs only the standard library, so it also runs without
 pytest, under each Python version the package supports:
@@ -43,7 +44,6 @@ REPORTS = ("validate", "solve", "bound", "trace", "oracle", "verify", "encode")
 
 class Color(Enum):
     RED = "red"
-    ONE = 1
 
 
 class Level(IntEnum):
@@ -51,19 +51,14 @@ class Level(IntEnum):
     TWO = 2
 
 
-class Num(int):
-    pass
-
-
-@dataclass(frozen=True)
-class Empty:
-    pass
-
-
 @dataclass(frozen=True)
 class Pair:
     zeta: object
     alpha: object = None
+
+
+class Items(list):
+    pass
 
 
 def _dummy_graph() -> WorkGraph:
@@ -77,23 +72,21 @@ EDGE_CASES = [
     'q"uo\\te/d', "  ", "\U0001f600", "é" * 3,
     # empty and set-like containers
     [], {}, (), frozenset(), set(), frozenset({(2, 1), (1, 3), (1, 2)}), {3, 1, 2},
-    frozenset({Color.RED}), [frozenset(), [], {}],
-    # Enum, None, bool (never printed as an int)
-    Color.RED, Color.ONE, None, True, False, [True, False, 1, 0], [1, True],
+    [frozenset(), [], {}],
+    # Enums (by value), None, bool (a bool never printed as an int)
+    Color.RED, Level.TWO, None, True, False, [True, False, 1, 0], [1, True],
     {"flag": False, "none": None},
     # ints: negative, above 2**64; int, bool and None dict keys
     -1, 0, 2 ** 64 + 1, -(2 ** 70), [2 ** 64, -3, 7],
     {1: "a", 10: "b", 2: "c"}, {1: "int", "1": "str"}, {True: 1, None: 2, "x": 3},
     {"é": 1, "a": {"b": [[], {}]}, "\x00": "nul"},
-    # graphs with dummies, dataclasses (records the package does not define), codes
-    _dummy_graph(), Empty(), Pair(zeta=[1, (2, 3)], alpha=Color.ONE),
-    symbol(1, (2, 1), (1, 1)), LinearIndexCode(()),
+    # a graph with dummies; codes, one with a symbol of no terms
+    _dummy_graph(), symbol(1, (2, 1), (1, 1)), LinearIndexCode(()), symbol(2),
+    LinearIndexCode((symbol(1, (1, 1)), symbol(2), symbol(3, (1, 1), (2, 1), (3, 1)))),
     # named tuples and value classes write as objects of their fields
     ExhaustiveResult(bound=3, exact=True, states_visited=7),
     Instance(n=2, q=(1, 1), arcs=((1, 2),), senders=((1, 2),), notes=("é",)),
     MessageGraph(n=3, senders=((1, 2), (2, 3))),
-    # floats take the standard library's own formatting
-    1.5, -2.5e300, float("inf"), [0.1, 2],
 ]
 
 
@@ -109,12 +102,18 @@ def test_edge_cases_match_reference():
 
 
 def test_unserializable_object_raises_type_error():
-    for doc in (object(), [1, object()], {"k": b"bytes"}):
-        try:
-            json_text(doc)
-        except TypeError:
-            continue
-        raise AssertionError(f"no TypeError for {doc!r}")
+    """Types the package does not build, at the top level and nested,
+    raise TypeError naming the type."""
+    for value in (1.5, float("nan"), Pair(zeta=1), Items([1]), object(), b"bytes",
+                  bytearray(b"x"), 1j):
+        name = type(value).__name__
+        for doc in (value, [1, value], {"k": value}, (symbol(1, (1, 1)), value)):
+            try:
+                json_text(doc)
+            except TypeError as e:
+                assert name in str(e), (doc, e)
+                continue
+            raise AssertionError(f"no TypeError for {doc!r}")
 
 
 def _instances() -> list[dict]:
@@ -195,21 +194,6 @@ def _produced_codes() -> list[LinearIndexCode]:
     return [c for c in codes if c.symbols]
 
 
-# symbols that must take the generic record walk
-FALLBACK_SYMBOLS = [
-    CodeSymbol(True, ((1, 1),)),                     # bool sender
-    CodeSymbol(1, ((1, False),)),                    # bool bit
-    CodeSymbol(Level.TWO, ((Level.ONE, Level.TWO),)),  # IntEnum values
-    CodeSymbol(Num(3), ((Num(1), 2),)),              # int subclass
-    CodeSymbol(1, [[1, 2], [3, 1]]),                 # list-typed terms
-    CodeSymbol(1, ([1, 2],)),                        # list-typed pair
-    CodeSymbol(1, ()),                               # empty terms
-    CodeSymbol(1, ((1, 2, 3),)),                     # 3-element term
-    CodeSymbol(1, ((1,), (2, 1))),                   # 1-element term
-    CodeSymbol(1, ((1.0, 2),)),                      # float message
-]
-
-
 def _takes_generic_walk(code) -> bool:
     """Whether writing code walks a CodeSymbol as a record: that walk
     memoizes the type's field keys, the templates do not."""
@@ -228,63 +212,76 @@ def test_kernel_matches_reference_on_produced_codes():
         assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
 
 
-def test_kernel_falls_back_on_symbols_it_cannot_write():
+# symbols holding bools or IntEnums, each with the int symbol it equals
+INT_LIKE_SYMBOLS = [
+    (CodeSymbol(True, ((1, 1),)), symbol(1, (1, 1))),
+    (CodeSymbol(1, ((1, True), (2, True))), symbol(1, (1, 1), (2, 1))),
+    (CodeSymbol(Level.TWO, ((Level.ONE, Level.TWO),)), symbol(2, (1, 2))),
+    (CodeSymbol(Level.ONE, ((1, 1), (2, Level.TWO), (3, True))), symbol(1, (1, 1), (2, 2), (3, 1))),
+]
+
+# symbols no producer builds and no template fits
+UNWRITABLE_SYMBOLS = [
+    CodeSymbol(1, [[1, 2], [3, 1]]),           # list-typed terms
+    CodeSymbol(1, ([1, 2],)),                  # a list-typed pair
+    CodeSymbol(1, ((1, 2), (3, 1), [2, 2])),   # a list-typed third pair
+    CodeSymbol(1, ((1, 2, 3),)),               # a 3-element term
+    CodeSymbol(1, ((1,), (2, 1))),             # a 1-element term
+    CodeSymbol("1", ((1, 1),)),                # a string sender
+]
+
+
+def test_symbols_of_bools_and_int_enums_write_as_ints():
+    """A symbol holding a bool or IntEnum is written as the int symbol
+    it equals, so parse_code reads its file back; a symbol no template
+    fits raises TypeError, not malformed text."""
     plain = symbol(2, (1, 1), (3, 2))
-    cases = [LinearIndexCode(())]
-    for bad in FALLBACK_SYMBOLS:
-        cases += [LinearIndexCode((bad,)), LinearIndexCode((plain, bad, plain))]
-    cases.append(LinearIndexCode([plain, plain]))  # a list of symbols writes as a tuple
-    for code in cases:
-        assert _takes_generic_walk(code) == (code != LinearIndexCode([plain, plain])
-                                             and bool(code.symbols)), code
-        for doc in _wrapped(code):
-            assert json_text(doc) == reference_emit_json(doc), code
-        assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", code
+    for odd, ints in INT_LIKE_SYMBOLS:
+        for seq in ((odd,), (plain, odd, plain)):
+            text = serialize_code(LinearIndexCode(seq))
+            want = LinearIndexCode(tuple(ints if s is odd else s for s in seq))
+            assert text == serialize_code(want), odd
+            back = parse_code(text)
+            assert back == want
+            assert all(type(x) is int for s in back.symbols for t in s.terms
+                       for x in (s.sender, *t)), back
+    for bad in UNWRITABLE_SYMBOLS:
+        for code in (LinearIndexCode((bad,)), LinearIndexCode((plain, bad, plain))):
+            try:
+                serialize_code(code)
+            except TypeError:
+                continue
+            raise AssertionError(f"no TypeError for {code!r}")
     assert serialize_code(LinearIndexCode(())) == "[]\n"
 
 
-def test_symbol_lists_mix_term_counts_and_fall_back_item_by_item():
+def test_symbol_lists_mix_term_counts_and_other_items():
     """One-, two- and three-term symbols in one list take their three
-    templates; a list goes on item by item from the first item that is
-    no symbol of plain ints, whatever follows it."""
+    templates; a list goes on item by item from its first item that is
+    no symbol, whatever follows it."""
     one, two = symbol(1, (4, 1)), symbol(2, (3, 2), (1, 1))
     three = symbol(3, (1, 1), (2, 1), (3, 1))
     mixed = (one, two, three, two, one, three)
-    # every symbol from a template, with non-symbols after symbols
-    templated = [mixed, list(mixed), [three, three], [one], (two,),
-                 (one, 5), (two, three, 5, one), [three, "x", None, two]]
-    walked = [(one, CodeSymbol(2, ((1, 1), (2, True))), two),    # a bool in the second pair
-              (two, CodeSymbol(1, ((1, 1), (2, 1), [3, 1]))),    # a list-typed third pair
-              (CodeSymbol(1, ((1, 1), (2, Level.ONE))), one)]    # an IntEnum bit
-    for seq in templated + walked:
+    for seq in (mixed, list(mixed), [three, three], [one], (two,), (one, 5),
+                (two, three, 5, one), [three, "x", None, two], [5, one], (None, three, two)):
         for doc in _wrapped(seq) + _wrapped(LinearIndexCode(tuple(seq))):
             assert json_text(doc) == reference_emit_json(doc), seq
         if all(type(s) is CodeSymbol for s in seq):
             code = LinearIndexCode(seq)
             assert serialize_code(code) == reference_emit_json(_code_doc(code)) + "\n", seq
-        assert _takes_generic_walk(seq) == (seq in walked), seq
-
-
-class SubGraph(WorkGraph):
-    pass
+        assert not _takes_generic_walk(seq), seq
 
 
 def _graphs() -> list[WorkGraph]:
-    """Graphs of plain ints, which are written from their adjacency, and
-    graphs with a bool or IntEnum vertex, weight or arc head, which take
-    the walk."""
+    """Graphs with and without dummies, arcs or weights, each written
+    from its adjacency."""
     rng = random.Random("json-text:graphs")
     ring = WorkGraph(range(1, 13), {(v, v % 12 + 1) for v in range(1, 13)} | {(12, 2), (3, 11)},
                      {v: v % 3 for v in range(1, 13)})
     graphs = [_dummy_graph(), WorkGraph((), (), {}), WorkGraph((2, 1, 3), (), {1: 1, 2: 0, 3: 4}),
               ring, ring.with_new_dummy(12)[0], ring.with_new_dummy(3)[0].with_new_dummy(7)[0],
               ring.without_out_arcs(1), ring.with_arc(5, 9),
-              WorkGraph((-2, 0, 7), {(0, -2), (-2, 7)}, {-2: 1, 0: 2 ** 70, 7: -1}),
-              WorkGraph((1, 2), {(1, 2)}, {1: True, 2: 1}),
-              WorkGraph((1, 2), {(2, 1)}, {1: 1, 2: Level.TWO}),
-              WorkGraph((1, 2, 3), {(1, 2), (3, True)}, {1: 1, 2: 1, 3: 1}),
-              WorkGraph((Level.ONE, 2), {(2, 1)}, {1: 1, 2: 1}),
-              SubGraph((1, 2, 3), {(3, 1)}, {1: 1, 2: 0, 3: 1}, dummies=(2,))]
+              WorkGraph((-2, 0, 7), {(0, -2), (-2, 7)}, {-2: 1, 0: 2 ** 70, 7: -1})]
     graphs += [rand_graph(rng, n) for n in (1, 4, 10, 15)]
     return graphs
 
