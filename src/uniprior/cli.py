@@ -37,22 +37,23 @@ def _emit_json(doc: dict) -> None:
     print(json_text(doc))
 
 
-def _symbol_text(sym) -> str:
-    return "^".join(f"x{m}[{b}]" for (m, b) in sym.terms)
-
-
 def _code_lines(code: LinearIndexCode) -> list[str]:
-    return [f"  {k}. {_symbol_text(s)}  (sender {s.sender})"
+    return [f"  {k}. {'^'.join(f'x{m}[{b}]' for (m, b) in s.terms)}  (sender {s.sender})"
             for k, s in enumerate(code.symbols, start=1)]
 
 
-def _load_valid_instance(path: str) -> Instance:
+def _read(load, path: str):
+    """load(path), with a read or parse error as a CliError naming path."""
     try:
-        inst = load_instance(path)
+        return load(path)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from e
     except ParseError as e:
         raise CliError(f"{path}: {e}") from e
+
+
+def _load_valid_instance(path: str) -> Instance:
+    inst = _read(load_instance, path)
     report = validate(inst)
     if not report.ok:
         raise CliError(f"{path}: invalid instance:\n  " + "\n  ".join(report.violations))
@@ -163,12 +164,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_valid_instance(args.instance)
-    try:
-        code = load_code(args.code)
-    except OSError as e:
-        raise CliError(f"cannot read {args.code}: {e}") from e
-    except ParseError as e:
-        raise CliError(f"{args.code}: {e}") from e
+    code = _read(load_code, args.code)
     try:
         report = verify_linear(inst, code)
     except MalformedCodeError as e:

@@ -317,15 +317,20 @@ class Gf2Basis:
         return len(self.rows)
 
 
+def _wants(inst: Instance) -> dict[int, list[int]]:
+    """Receiver r -> the messages r wants, ascending, for r = 1..n."""
+    wants: dict[int, list[int]] = {r: [] for r in range(1, inst.n + 1)}
+    for (i, j) in sorted(inst.arcs):
+        wants[j].append(i)
+    return wants
+
+
 def _receivers(inst: Instance, offsets: tuple[int, ...]) -> list[tuple]:
     """(r, r's own coordinates, wanted (message, bit) pairs, their
     coordinates) for every receiver that wants something, in order."""
-    wants: dict[int, list[int]] = {}
-    for (i, j) in sorted(inst.arcs):
-        wants.setdefault(j, []).append(i)
     out = []
-    for r in range(1, inst.n + 1):
-        wanted = [(j, b) for j in wants.get(r, ()) for b in range(1, inst.q[j - 1] + 1)]
+    for r, ms in _wants(inst).items():
+        wanted = [(j, b) for j in ms for b in range(1, inst.q[j - 1] + 1)]
         if wanted:
             out.append((r, range(offsets[r - 1], offsets[r - 1] + inst.q[r - 1]),
                         wanted, [_coord(offsets, j, b) for (j, b) in wanted]))
@@ -347,8 +352,8 @@ def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
     receiver, and a c that no symbol touches is in no row of the span,
     so it decodes at none: both are settled once per wanted message, the
     second with no big-integer work.  The rest take one reduction by K
-    per receiver, and K is built, as a descending echelon tuple like the
-    oracle's A_r, only for a receiver that has such a bit to test."""
+    per receiver, and K is built, by ``Gf2Basis`` again, only for a
+    receiver that has such a bit to test."""
     vecs, touched = _checked_vectors(inst, code)
     rows = Gf2Basis(vecs).rows
     offsets, _ = bit_layout(inst)
@@ -366,24 +371,19 @@ def verify_linear(inst: Instance, code: LinearIndexCode) -> VerifyReport:
             if t:
                 bits.append((c - base, t))
     failures = []
-    r = k = keep = None
-    for (rcv, m) in sorted((j, i) for (i, j) in inst.arcs):
-        bits = open_bits[m]
-        if not bits or m == rcv:  # a receiver knows its own bits
-            continue
-        if rcv != r:
-            r = rcv
-            start = offsets[r - 1]
-            keep = ~(((1 << q[r - 1]) - 1) << start)
-            k = ()
-            for p in range(start, start + q[r - 1]):
-                if p in rows:
-                    x = _reduced(k, rows[p] & keep)
-                    if x:
-                        k = tuple(sorted(k + (x,), reverse=True))
-        for b, t in bits:
-            if t is None or _reduced(k, t & keep):
-                failures.append((r, (m, b)))
+    for r, ms in _wants(inst).items():
+        k = None
+        for m in ms:
+            bits = open_bits[m]
+            if not bits or m == r:  # a receiver knows its own bits
+                continue
+            if k is None:
+                start = offsets[r - 1]
+                keep = ~(((1 << q[r - 1]) - 1) << start)
+                k = Gf2Basis(rows[p] & keep for p in range(start, start + q[r - 1]) if p in rows)
+            for b, t in bits:
+                if t is None or not k.contains(t & keep):
+                    failures.append((r, (m, b)))
     return VerifyReport(valid=not failures, failures=tuple(failures))
 
 
@@ -495,9 +495,7 @@ def _closed_demands(inst: Instance, offsets: tuple[int, ...]) -> list[tuple[int,
     A receiver that decodes message i knows all that receiver i knows, so
     a code decoding every request decodes these closed demands as well,
     and conversely.  Each closed deficit is at least the plain one."""
-    wants: dict[int, list[int]] = {r: [] for r in range(1, inst.n + 1)}
-    for (i, j) in inst.arcs:
-        wants[j].append(i)
+    wants = _wants(inst)
     return [(((1 << inst.q[r - 1]) - 1) << offsets[r - 1],
              sum(((1 << inst.q[m - 1]) - 1) << offsets[m - 1]
                  for m in graph._closure(wants, (r,)) - {r}))

@@ -8,8 +8,8 @@ carry weight 0 and never source an arc, so they are permanent leaves.
 
 Because graphs are values, derived structure is stored on the graph on
 first use: the leaf SCCs, the SCC partition, the leaf set, the leaf
-cover the witness search starts from, and each vertex's predecessors and
-forward reach.  A graph made from another by one step (``with_arc``,
+cover the witness search starts from, and each vertex's forward reach.
+A graph made from another by one step (``with_arc``,
 ``without_out_arcs``, ``with_new_dummy``) patches its parent's adjacency
 and checks only the new arc.  If the parent's leaf SCCs (SCCs of >= 2
 vertices that no arc leaves) are known, the step hands the child its
@@ -89,7 +89,6 @@ class WorkGraph:
         self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
         self._leaves: frozenset[int] | None = None
         self._cover: tuple | None = None
-        self._preds: dict[int, frozenset[int]] = {}
         self._reach: dict[int, frozenset[int]] = {}
         self._classes: dict = {}
 
@@ -319,17 +318,14 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
 
     v itself is included only when it lies on a cycle through itself.
     """
-    preds = g._preds.get(v)
-    if preds is None:
-        if v not in g._in:
-            raise ValueError(f"vertex {v} not in graph")
-        preds = g._preds[v] = _closure(g._in, (v,))
-    return preds
+    if v not in g._in:
+        raise ValueError(f"vertex {v} not in graph")
+    return _closure(g._in, (v,))
 
 
 def reach(g: WorkGraph, v: int) -> frozenset[int]:
-    """All vertices with a nonempty directed path from v; the mirror of
-    predecessors, memoized the same way."""
+    """All vertices with a nonempty directed path from v, computed once
+    per graph and vertex; the mirror of predecessors."""
     found = g._reach.get(v)
     if found is None:
         if v not in g._out:

@@ -75,14 +75,12 @@ class MessageGraph(_Frozen):
     """Undirected graph with an edge {i, j} when some sender owns both,
     kept as the senders and an index from each message to its (1-based)
     senders, ascending, built in O(sum |s|).  Equality, hashing and repr
-    see n and the senders, not the edges they give.  The hash is taken
-    once, since ``(graph, leaf SCC)`` pairs key the memo of semi leaf-SCC
-    classes.  The edges and the components are derived on first query;
-    the memo that ``classify.message_class`` keeps here starts empty.
+    see n and the senders, not the edges they give.  The edges and the
+    components are derived on first query; the memo that
+    ``classify.message_class`` keeps here starts empty.
     """
 
-    __slots__ = ("n", "senders", "_hash", "_owners", "_edges", "_comps", "_comp_of",
-                 "_scc_classes")
+    __slots__ = ("n", "senders", "_owners", "_edges", "_comps", "_comp_of", "_scc_classes")
     _fields = ("n", "senders")
 
     def __init__(self, n: int, senders: tuple[tuple[int, ...], ...]):
@@ -90,12 +88,8 @@ class MessageGraph(_Frozen):
         for k, s in enumerate(senders, start=1):
             for m in s:
                 owners.setdefault(m, []).append(k)
-        for name, value in zip(self.__slots__, (n, senders, hash((n, senders)), owners,
-                                                None, None, None, {})):
+        for name, value in zip(self.__slots__, (n, senders, owners, None, None, None, {})):
             object.__setattr__(self, name, value)
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 
 from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
                        message_class, witness_options)
@@ -57,7 +57,7 @@ ExhaustiveResult = namedtuple("ExhaustiveResult", "bound exact states_visited")
 ConnectingTree = namedtuple("ConnectingTree", "vertices edges")
 TreeSearchResult = namedtuple("TreeSearchResult", "trees exact")
 # tight_reason: a TightReason, None unless tight; exhaustive: None
-# unless asked for
+# unless asked for; trees_exact: the packing is proven maximum
 BoundReport = namedtuple("BoundReport", "lower upper tight tight_reason lower_report "
                          "exhaustive trees trees_exact code")
 
@@ -83,14 +83,13 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
 def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
     """The class of a leaf SCC of g.  A message-connected or -disconnected
     class is read from the message graph's memo; a semi SCC is classified
-    once per (graph, message graph, leaf SCC), since Algorithm 2 scans
-    one graph state several times."""
+    once per graph and SCC, since Algorithm 2 scans one graph state several
+    times (a graph and those stepped from it share one message graph)."""
     cls = message_class(u, scc)[0]
     if cls is None:
-        key = (u, scc)
-        cls = g._classes.get(key)
+        cls = g._classes.get(scc)
         if cls is None:
-            cls = g._classes[key] = classify_leaf_scc(g, u, scc)
+            cls = g._classes[scc] = classify_leaf_scc(g, u, scc)
     return cls
 
 
@@ -106,8 +105,7 @@ def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
         # one fresh dummy, one arc from the smallest SCC vertex to it
         yield StepKind.APPEND_DISCONNECTED, min(scc)
     elif cls.kind is Kind.DEGENERATED:
-        # the class holds the canonical witness, the first of the options
-        for w in chain((cls.degeneracy,), islice(witness_options(g, u, scc), 1, None)):
+        for w in witness_options(g, u, scc):  # the canonical witness first
             yield StepKind.APPEND_DEGENERATED, w
     prune = (StepKind.PRUNE_CONNECTED if cls.kind is Kind.MESSAGE_CONNECTED
              else StepKind.PRUNE_NON_DEGENERATED)
@@ -143,17 +141,25 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
 
 # ------------------------------------------------------- Algorithm 2
 
-def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
-    """The first leaf SCC of g, by smallest vertex, of the given kind.
-    Only a scan for a degenerated SCC searches for witnesses, and only on
-    semi SCCs."""
+def _of_kind(g: WorkGraph, u: MessageGraph, kind: Kind):
+    """The leaf SCCs of g of the given kind, by smallest vertex, found
+    one at a time.  Only a scan for degenerated SCCs searches for
+    witnesses, and only on semi SCCs."""
     for scc in _leaf_sccs(g):
         cls = message_class(u, scc)[0]
         if cls is None and kind is Kind.DEGENERATED:
             cls = _class_of(g, u, scc)
         if cls is not None and cls.kind is kind:
-            return scc
-    return None
+            yield scc
+
+
+def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
+    """The first leaf SCC of g, by smallest vertex, of the given kind."""
+    return next(_of_kind(g, u, kind), None)
+
+
+def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
+    return list(_of_kind(g, u, Kind.MESSAGE_CONNECTED))
 
 
 def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
@@ -211,10 +217,12 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
     limit = step_limit(inst.n)
     steps: list[StepRecord] = []
 
-    connected = 0
-    while (scc := _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)) is not None:
+    # a prune leaves every other leaf SCC as it is (graph.py, rule 1), so
+    # init prunes the root's message-connected leaf SCCs, in their order
+    init = _message_connected_leaf_sccs(g, u)
+    for scc in init:
         g = _take(g, u, scc, "init", steps)
-        connected += 1
+    connected = len(init)
 
     g = _append_phase(g, u, steps, "init")
 
@@ -372,12 +380,6 @@ def exhaustive_lower_bound(inst: Instance, max_states: int = 10 ** 6) -> Exhaust
 
 # ------------------------------------------------- connecting trees
 
-def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
-    return [scc for scc in _leaf_sccs(g)
-            if (cls := message_class(u, scc)[0]) is not None
-            and cls.kind is Kind.MESSAGE_CONNECTED]
-
-
 def _is_tree_vertex_set(g: WorkGraph, u: MessageGraph, vs: frozenset[int],
                         blocked: frozenset[int]) -> bool:
     if len(vs) < 2 or vs & blocked:
@@ -432,15 +434,18 @@ def find_connecting_trees(inst: Instance) -> TreeSearchResult:
     A valid tree vertex set (closed under out-arcs, leaf-free,
     message-connected, clear of message-connected leaf SCCs) is the
     union of its members' out-closures reach(v) | {v}, each free of
-    leaves and of those SCCs.  Exact for n up to EXACT_LIMIT: pack the
-    inclusion-minimal message-connected unions of such closures by
-    memoized search (shrinking a chosen set never hurts a packing).
-    Larger n packs the connected closures greedily, smallest first,
-    flagged inexact.
+    leaves and of those SCCs.  No set holding a message-disconnected leaf
+    SCC is message-connected either (two of its vertices lie in different
+    message components), so every classified leaf SCC is banned.  Exact
+    for n up to EXACT_LIMIT: pack the inclusion-minimal message-connected
+    unions of such closures by memoized search (shrinking a chosen set
+    never hurts a packing).  Larger n packs the connected closures
+    greedily, smallest first, flagged inexact.
     """
     _require_binary(inst)
     g, u = _graphs(inst)
-    banned = frozenset().union(*_message_connected_leaf_sccs(g, u), leaf_vertices(g))
+    classified = (scc for scc in _leaf_sccs(g) if message_class(u, scc)[0] is not None)
+    banned = frozenset().union(*classified, leaf_vertices(g))
     # a closure meets banned iff its root is in banned or precedes a member
     dead = banned | _closure(g._in, banned)
     real = g.real_vertices()
@@ -563,4 +568,4 @@ def bound_multi(inst: Instance, exhaustive: bool = False,
             reason = TightReason.BOUNDS_COINCIDE
     return BoundReport(lower=lower, upper=upper, tight=tight, tight_reason=reason,
                        lower_report=lr, exhaustive=ex, trees=ts.trees,
-                       trees_exact=ts.exact, code=code)
+                       trees_exact=ts.exact or tight, code=code)

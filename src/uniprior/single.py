@@ -81,7 +81,3 @@ def solve_single(inst: Instance) -> SingleSolution:
     return SingleSolution(optimal_length=bound, lower_bound=bound, code=encode_single(g),
                           trace=PruneTrace(steps=tuple(steps)),
                           arithmetic=(total, leaf_w, scc_min))
-
-
-__all__ = ["NotSingleSenderError", "PruneStep", "PruneTrace", "SingleSolution",
-           "encode_single", "solve_single"]

@@ -117,6 +117,24 @@ def test_bound_truncated_is_partial(files, capsys):
     assert "partial" in out
 
 
+def test_tight_bound_past_the_exact_tree_limit_is_complete(files, capsys):
+    # five triples i <-> j, k -> i under senders {i, k}, {j, k}: n = 15
+    # is past EXACT_LIMIT, so the trees are packed greedily, but lower ==
+    # upper proves the packing maximum (one more tree would give a code
+    # shorter than the lower bound)
+    arcs, senders = [], []
+    for i in range(1, 15, 3):
+        arcs += [[i, i + 1], [i + 1, i], [i + 2, i]]
+        senders += [[i, i + 2], [i + 1, i + 2]]
+    p = files["dir"] / "triples.json"
+    p.write_text(json.dumps({"n": 15, "q": [1] * 15, "arcs": arcs, "senders": senders}))
+    status, out, _ = run(capsys, "bound", str(p), "--format", "json")
+    doc = json.loads(out)
+    assert status == 0
+    assert (doc["lower"], doc["upper"], doc["tight"], len(doc["trees"])) == (10, 10, True, 5)
+    assert doc["trees_exact"] is True and doc["partial"] is False
+
+
 def test_max_states_needs_exhaustive(files, capsys):
     status, out, err = run(capsys, "bound", files["gap"], "--max-states", "5")
     assert (status, out) == (1, "")

@@ -556,6 +556,21 @@ def _paired_two_cycles(rng):
     return make_instance(12, arcs, senders)
 
 
+def _fed_disconnected(rng, n_min=8, n_max=12):
+    """A message-disconnected leaf SCC fed from the rest: no sender spans
+    the halves 1..h and h+1..n, the 2-cycle 1 <-> n crosses them, and
+    arcs from other vertices feed it, beside a triple 2 <-> 3, 4 -> 2
+    (senders {2, 4}, {3, 4}) that roots a tree unless it feeds the SCC,
+    and cyclic clusters on 5..n-1."""
+    n = rng.randint(n_min, n_max)
+    h = n // 2
+    arcs = [[1, n], [n, 1], [2, 3], [3, 2], [4, 2]]
+    arcs += cyclic_arcs(rng, range(5, n), rng.randint(0, n // 3))
+    arcs += [[v, rng.choice((1, n))] for v in rng.sample(range(2, n), rng.randint(1, 3))]
+    senders = rand_senders(rng, h) + [[m + h for m in s] for s in rand_senders(rng, n - h)]
+    return make_instance(n, arcs, senders + [[2, 4], [3, 4]])
+
+
 def _trees(res):
     return [(sorted(t.vertices), sorted(t.edges)) for t in res.trees], res.exact
 
@@ -567,13 +582,15 @@ def test_tree_search_matches_subset_enumeration():
     insts += [rand_triples(rng, t_max=4) for _ in range(60)]
     insts += [_paired_two_cycles(rng) for _ in range(60)]
     insts += [big_sender_clusters(rng) for _ in range(60)]  # n > 12: greedy
+    insts += [_fed_disconnected(rng) for _ in range(60)]
+    insts += [_fed_disconnected(rng, 13, 18) for _ in range(30)]  # greedy
     found = greedy = 0
     for inst in insts:
         res = find_connecting_trees(inst)
         assert _trees(res) == _trees(reference_find_connecting_trees(inst))
         found += len(res.trees)
         greedy += not res.exact
-    assert found >= 100 and greedy == 60
+    assert found >= 100 and greedy == 90
 
 
 def test_exact_tree_search_takes_unions_of_closures(monkeypatch):
