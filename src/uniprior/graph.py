@@ -30,8 +30,31 @@ a:
   and all of M reaches a), and M is a leaf SCC iff no arc of the parent
   leaves it.
 Every other SCC keeps its vertices and out-arcs, hence whether it is a
-leaf.  A child never holds its parent graph, so no chain of graphs stays
-alive.
+leaf.
+
+A step whose source a had out-arcs also hands the child the parent's
+leaf set and leaf cover (the real leaves and every vertex with a path to
+one), if the parent had them, and the parent's reach sets.  Let the hit
+set H be {a} and every vertex with a path to a; H is the same read on
+parent or child, since a path into a never needs a's out-arcs (cut it at
+its first visit to a).
+- prune of a: leaves' = leaves + {a}.  If a is outside the cover (a
+  reaches no real leaf, as in a leaf SCC), no path to a real leaf passes
+  through a, so every old one survives, and the new ones end at a:
+  cover' = cover + H.  Otherwise the cover is computed afresh.
+- new dummy d under a: leaves' = leaves + {d}; the new arc ends at a sink
+  that is no real leaf, so cover' = cover.
+- new arc (a, b): a stays a non-leaf, so leaves' = leaves.  A new path to
+  a real leaf uses (a, b); after its last use it runs on parent arcs, so
+  it exists iff b is in the cover, and then its start reaches a:
+  cover' = cover + H if b is in the cover, else cover.
+- a vertex x outside H never visits a, so it uses none of the arcs the
+  step changed: reach'(x) = reach(x).  The child looks x up in the
+  parent's reach memo before it runs a search of its own.
+A step from a source without out-arcs (which the solver never takes)
+turns a leaf into a non-leaf, and the child computes leaves and cover
+afresh.  A child never holds its parent graph, only the parent's sets
+and reach memo, so no chain of graphs stays alive.
 """
 
 from __future__ import annotations
@@ -63,49 +86,71 @@ class WorkGraph:
             raise ValueError(f"vertex {v} repeated")
         if not self.dummies <= vs:
             raise ValueError(f"dummy {min(self.dummies - vs)} is not a vertex")
+        out: dict[int, list[int]] = {v: [] for v in self.vertices}
+        inn: dict[int, list[int]] = {v: [] for v in self.vertices}
         for (i, j) in arcs:
-            _check_arc(i, j, vs, self.dummies)
+            if i == j or i not in vs or j not in vs or i in self.dummies:
+                _check_arc(i, j, vs, self.dummies)
+            out[i].append(j)
+            inn[j].append(i)
         for d in self.dummies:
             if self.weight.get(d, 0) != 0:
                 raise ValueError(f"dummy vertex {d} must have weight 0")
-        self._out: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
-        self._in: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
-        out: dict[int, list[int]] = {}
-        inn: dict[int, list[int]] = {}
-        for (i, j) in arcs:
-            out.setdefault(i, []).append(j)
-            inn.setdefault(j, []).append(i)
-        for v, ns in out.items():
-            self._out[v] = tuple(sorted(ns))
-        for v, ns in inn.items():
-            self._in[v] = tuple(sorted(ns))
+        self._out: dict[int, tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in out.items()}
+        self._in: dict[int, tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in inn.items()}
         self._init_derived(None)
 
-    def _init_derived(self, leaf_sets) -> None:
+    def _init_derived(self, leaf_sets, leaves=None, cover=None, reach_base=None,
+                      hits=None) -> None:
         # Derived structure, filled on first query unless the step that
-        # made this graph handed over its leaf SCCs (see the module
-        # docstring); _classes holds semi leaf-SCC classes for Algorithm 2.
+        # made this graph handed it over (see the module docstring);
+        # _reach_base is (the parent's reach memo, the step's source, None
+        # when the graphs are equal), _hits holds hit sets by source, and
+        # _classes semi leaf-SCC classes for the exhaustive search.
         self._scc: SccPartition | None = None
         self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
-        self._leaves: frozenset[int] | None = None
-        self._cover: tuple | None = None
+        self._leaves: frozenset[int] | None = leaves
+        self._cover: tuple | None = cover
         self._reach: dict[int, frozenset[int]] = {}
+        self._reach_base: tuple | None = reach_base
+        self._hits: dict[int, frozenset[int]] = {} if hits is None else hits
         self._classes: dict = {}
 
-    def _child(self, step: tuple | None, out, inn, vertices=None, weight=None,
-               dummies=None) -> WorkGraph:
+    def _child(self, step: tuple | None, out, inn, new_leaf=None, vertices=None,
+               weight=None, dummies=None) -> WorkGraph:
         """A graph one step from this one, on the given patched adjacency:
-        step is (a,) for a prune of a or a dummy under a, (a, b) for a new
-        arc, None when the child equals this graph."""
+        step is (a,) for a prune of a (new_leaf a) or a dummy under a
+        (new_leaf the dummy), (a, b) for a new arc, None when the child
+        equals this graph."""
         g = WorkGraph.__new__(WorkGraph)
         g.vertices = self.vertices if vertices is None else vertices
         g.weight = self.weight if weight is None else weight
         g.dummies = self.dummies if dummies is None else dummies
         g._out, g._in = out, inn
+        memo = _reach_memo(self)
+        if step is None:
+            g._init_derived(self._leaf_sets, self._leaves, self._cover, (memo, None))
+            return g
         leaf_sets = self._leaf_sets
-        if step is not None and leaf_sets is not None:
+        if leaf_sets is not None:
             leaf_sets = _stepped_leaf_sccs(self, *step)
-        g._init_derived(leaf_sets)
+        a = step[0]
+        leaves = cover = None
+        if self._out[a]:
+            if self._leaves is not None:
+                leaves = self._leaves if new_leaf is None else self._leaves | {new_leaf}
+            if self._cover is not None:
+                real, covered = self._cover
+                if new_leaf == a:
+                    if a not in covered:
+                        cover = (real | {a}, covered | hit_set(self, a))
+                elif len(step) == 2 and step[1] in covered:
+                    cover = (real, covered | hit_set(self, a))
+                else:
+                    cover = self._cover
+        hit = self._hits.get(a)
+        g._init_derived(leaf_sets, leaves, cover, (memo, a) if memo else None,
+                        None if hit is None else {a: hit})
         return g
 
     @classmethod
@@ -145,18 +190,18 @@ class WorkGraph:
         inn = dict(self._in)
         for w in outs:
             inn[w] = tuple(x for x in inn[w] if x != v)
-        return self._child((v,), out, inn)
+        return self._child((v,), out, inn, new_leaf=v)
 
     def with_new_dummy(self, source: int) -> tuple[WorkGraph, int]:
         """Add a fresh dummy vertex and an arc source -> dummy."""
-        d = max(self.vertices) + 1
+        d = self.vertices[-1] + 1  # vertices are ascending
         out = dict(self._out)
         out[d] = ()
         _check_arc(source, d, out, self.dummies)
         out[source] += (d,)  # d is the largest vertex, so this stays sorted
         inn = dict(self._in)
         inn[d] = (source,)
-        g = self._child((source,), out, inn, vertices=self.vertices + (d,),
+        g = self._child((source,), out, inn, new_leaf=d, vertices=self.vertices + (d,),
                         weight={**self.weight, d: 0}, dummies=self.dummies | {d})
         return g, d
 
@@ -286,17 +331,14 @@ def leaf_vertices(g: WorkGraph) -> frozenset[int]:
     return g._leaves
 
 
-def leaf_cover(g: WorkGraph) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]]:
-    """(real leaves, those leaves with all their predecessors, real
-    non-leaves ascending), computed once per graph: the s_outside of a
-    leaf-only degeneracy witness, the vertices it covers, and the
-    candidates for its one non-leaf.  No leaf lies in a leaf SCC, so
-    these are the same for every leaf SCC of g."""
+def leaf_cover(g: WorkGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """(real leaves, those leaves with all their predecessors), computed
+    once per graph or handed over by the step that made it: the s_outside
+    of a leaf-only degeneracy witness and the vertices it covers.  No leaf
+    lies in a leaf SCC, so these are the same for every leaf SCC of g."""
     if g._cover is None:
-        leaves = leaf_vertices(g)
-        real = leaves - g.dummies
-        g._cover = (real, real | _closure(g._in, real),
-                    tuple(v for v in g.vertices if v not in leaves))
+        real = leaf_vertices(g) - g.dummies
+        g._cover = (real, real | _closure(g._in, real))
     return g._cover
 
 
@@ -323,18 +365,50 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
     return _closure(g._in, (v,))
 
 
+def hit_set(g: WorkGraph, a: int) -> frozenset[int]:
+    """a and every vertex with a path to a, computed once per graph and
+    vertex: the vertices whose reach a step from a can change, the same
+    on g and on the child."""
+    found = g._hits.get(a)
+    if found is None:
+        found = g._hits[a] = _closure(g._in, (a,)) | {a}
+    return found
+
+
+def _reach_memo(g: WorkGraph) -> dict[int, frozenset[int]]:
+    """g's reach memo with every set it may take from its parent's copied
+    in, so that a child, which looks up only this memo, sees them all."""
+    base = g._reach_base
+    if base is not None:
+        g._reach_base = None
+        memo, a = base
+        cut = () if a is None else hit_set(g, a)
+        own = g._reach
+        for x, found in memo.items():
+            if x not in cut and x not in own:
+                own[x] = found
+    return g._reach
+
+
 def reach(g: WorkGraph, v: int) -> frozenset[int]:
     """All vertices with a nonempty directed path from v, computed once
-    per graph and vertex; the mirror of predecessors."""
+    per graph and vertex, or read from the parent's memo when v is
+    outside the hit set of the step that made g; the mirror of
+    predecessors."""
     found = g._reach.get(v)
     if found is None:
         if v not in g._out:
             raise ValueError(f"vertex {v} not in graph")
-        found = g._reach[v] = _closure(g._out, (v,))
+        base = g._reach_base
+        if base is not None and (base[1] is None or v not in hit_set(g, base[1])):
+            found = base[0].get(v)
+        if found is None:
+            found = _closure(g._out, (v,))
+        g._reach[v] = found
     return found
 
 
 def v_out(g: WorkGraph) -> int:
     """Number of non-leaf vertices.  Dummies are always leaves, so this
     counts real vertices only."""
-    return sum(1 for v in g.vertices if g.out_degree(v) > 0)
+    return len(g.vertices) - len(leaf_vertices(g))

@@ -19,11 +19,12 @@ from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
-from .classify import (Kind, LeafSccClass, classify_leaf_scc, find_degeneracy_witness,
-                       message_class, witness_options)
+from .classify import (Kind, LeafSccClass, _inside, classify_leaf_scc, common_reach,
+                       find_degeneracy_witness, message_class, missed_neighbors,
+                       witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, leaf_vertices,
-                    reach, v_out)
+from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, hit_set,
+                    leaf_cover, leaf_vertices, reach, v_out)
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -83,8 +84,8 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
 def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
     """The class of a leaf SCC of g.  A message-connected or -disconnected
     class is read from the message graph's memo; a semi SCC is classified
-    once per graph and SCC, since Algorithm 2 scans one graph state several
-    times (a graph and those stepped from it share one message graph)."""
+    once per graph and SCC, since the exhaustive search enumerates a
+    state's steps once and scores its children from it."""
     cls = message_class(u, scc)[0]
     if cls is None:
         cls = g._classes.get(scc)
@@ -93,21 +94,23 @@ def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClas
     return cls
 
 
-def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
+def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int], kind: Kind | None = None):
     """Every admissible step on one leaf SCC of g, canonical step first,
     as (step kind, dummy source / witness / pruned vertex), with no graph
     built: the dummy append of a message-disconnected SCC, then each
     witness append of a degenerated one, then the prune of each vertex in
     ascending order.  Prunes of a message-connected SCC are
-    PruneConnected, all others PruneNonDegenerated."""
-    cls = _class_of(g, u, scc)
-    if cls.kind is Kind.MESSAGE_DISCONNECTED:
+    PruneConnected, all others PruneNonDegenerated.  kind is the SCC's
+    class kind when the caller knows it."""
+    if kind is None:
+        kind = _class_of(g, u, scc).kind
+    if kind is Kind.MESSAGE_DISCONNECTED:
         # one fresh dummy, one arc from the smallest SCC vertex to it
         yield StepKind.APPEND_DISCONNECTED, min(scc)
-    elif cls.kind is Kind.DEGENERATED:
+    elif kind is Kind.DEGENERATED:
         for w in witness_options(g, u, scc):  # the canonical witness first
             yield StepKind.APPEND_DEGENERATED, w
-    prune = (StepKind.PRUNE_CONNECTED if cls.kind is Kind.MESSAGE_CONNECTED
+    prune = (StepKind.PRUNE_CONNECTED if kind is Kind.MESSAGE_CONNECTED
              else StepKind.PRUNE_NON_DEGENERATED)
     for v in sorted(scc):
         yield prune, v
@@ -122,10 +125,59 @@ def _apply(g: WorkGraph, kind: StepKind, x) -> WorkGraph:
     return g.without_out_arcs(x)
 
 
+# ------------------------------------------------------- Algorithm 2
+
+def _semi_entry(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> tuple:
+    """The class table entry of a semi leaf SCC of g: (Degenerated, (g,
+    its canonical witness on g)), or (NonDegenerated, its missed
+    neighbours)."""
+    witness = find_degeneracy_witness(g, u, scc)
+    if witness is not None:
+        return Kind.DEGENERATED, (g, witness)
+    return Kind.NON_DEGENERATED, missed_neighbors(g, u, scc)
+
+
+def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind,
+                   table: dict) -> frozenset[int] | None:
+    """The first leaf SCC of g, by smallest vertex, of the given kind, by
+    the run's class table, which maps leaf SCCs to (kind, the missed
+    neighbours of a non-degenerated one); a leaf SCC with no entry is
+    classified on g, and a semi one only by a scan for degenerated ones,
+    as far as that scan reaches."""
+    for scc in _leaf_sccs(g):
+        entry = table.get(scc)
+        if entry is None:
+            cls = message_class(u, scc)[0]
+            if cls is not None:
+                entry = table[scc] = (cls.kind, None)
+            elif kind is Kind.DEGENERATED:
+                entry = table[scc] = _semi_entry(g, u, scc)
+            else:
+                continue
+        if entry[0] is kind:
+            return scc
+    return None
+
+
+def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
+    """The leaf SCCs of g that are message-connected, with no witness
+    search."""
+    return [scc for scc in _leaf_sccs(g)
+            if (cls := message_class(u, scc)[0]) is not None
+            and cls.kind is Kind.MESSAGE_CONNECTED]
+
+
 def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
-          steps: list[StepRecord]) -> WorkGraph:
-    """Apply the canonical step on scc and record it."""
-    kind, x = next(_steps(g, u, scc))
+          steps: list[StepRecord], table: dict) -> WorkGraph:
+    """Apply the canonical step on scc, record it, and step the class
+    table: scc leaves it, and a non-degenerated entry whose missed
+    neighbours meet the step's hit set is dropped, to be classified again
+    on the child (the hit-set rule of ``_rule_of_thumb_pick``)."""
+    cls, extra = table.pop(scc)
+    if cls is Kind.DEGENERATED and extra[0] is g:
+        kind, x = StepKind.APPEND_DEGENERATED, extra[1]  # found by this scan
+    else:
+        kind, x = next(_steps(g, u, scc, cls))
     g2 = _apply(g, kind, x)
     if kind is StepKind.APPEND_DISCONNECTED:
         dummy = g2.vertices[-1]  # the new, largest vertex
@@ -136,42 +188,27 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
     else:
         rec = StepRecord(kind=kind, scc=scc, phase=phase, selected_vertex=x)
     steps.append(rec)
+    if kind is not StepKind.APPEND_DISCONNECTED:
+        hit = None
+        for other, (k, missed) in list(table.items()):
+            if k is Kind.NON_DEGENERATED:
+                if hit is None:  # the same on g and g2
+                    hit = hit_set(g2, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
+                if not missed.isdisjoint(hit):
+                    del table[other]
     return g2
 
 
-# ------------------------------------------------------- Algorithm 2
-
-def _of_kind(g: WorkGraph, u: MessageGraph, kind: Kind):
-    """The leaf SCCs of g of the given kind, by smallest vertex, found
-    one at a time.  Only a scan for degenerated SCCs searches for
-    witnesses, and only on semi SCCs."""
-    for scc in _leaf_sccs(g):
-        cls = message_class(u, scc)[0]
-        if cls is None and kind is Kind.DEGENERATED:
-            cls = _class_of(g, u, scc)
-        if cls is not None and cls.kind is kind:
-            yield scc
-
-
-def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind) -> frozenset[int] | None:
-    """The first leaf SCC of g, by smallest vertex, of the given kind."""
-    return next(_of_kind(g, u, kind), None)
-
-
-def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozenset[int]]:
-    return list(_of_kind(g, u, Kind.MESSAGE_CONNECTED))
-
-
 def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
-                  phase: str) -> WorkGraph:
+                  phase: str, table: dict) -> WorkGraph:
     """Append everything appendable: disconnected first, then degenerated,
     repeating until neither kind remains (appends can assimilate vertices
     into new leaf SCCs of any kind)."""
     while True:
         changed = False
         for kind in (Kind.MESSAGE_DISCONNECTED, Kind.DEGENERATED):
-            while (scc := _first_of_kind(g, u, kind)) is not None:
-                g = _take(g, u, scc, phase, steps)
+            while (scc := _first_of_kind(g, u, kind, table)) is not None:
+                g = _take(g, u, scc, phase, steps, table)
                 changed = True
         if not changed:
             return g
@@ -181,19 +218,58 @@ def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
                         sccs: tuple[frozenset[int], ...]) -> frozenset[int]:
     """One-step lookahead: prune the candidate that degenerates the most
     other currently non-degenerated leaf SCCs; ties go to the smallest
-    vertex id."""
+    vertex id.
+
+    Every leaf SCC here is non-degenerated.  For a component K of one,
+    with message neighbours N, call N - cover its missed set (the cover
+    being the real leaves and every vertex with a path to one).  Then the
+    missed set is not empty (else a real leaf, or a non-leaf outside the
+    SCC such as a vertex of another leaf SCC, would be a target), and no
+    non-leaf outside the SCC is reached from, or is, every missed vertex.
+
+    The hit-set rule: a step whose source a lies in another leaf SCC can
+    give K a witness only if its hit set H (a and every vertex reaching
+    a) meets K's missed set.  A prune of a grows the cover by H alone and
+    turns a into a real leaf.  If H misses the missed set, that set stays
+    as it is, and no missed vertex reaches a, so each keeps its reach
+    set: the targets can only lose a.  A witness append (a, b) keeps the
+    leaves, grows the cover by H or not at all, and grows only the reach
+    sets of H, so the same holds.  A dummy append changes no cover and
+    adds only the dummy to reach sets, which is never a target, so its
+    hit set is empty.  Under either append a degenerated SCC stays
+    degenerated: the cover and the reach sets only grow, so a target
+    survives.
+
+    So a candidate's prune of v = min(C) is scored with no child built:
+    only the components whose missed set meets v's hit set H are
+    checked, each on g's own sets.  On the child its missed set is the
+    old one minus H, and every vertex left in it keeps its reach set; it
+    has a witness iff that set is empty (v is now a real leaf) or the
+    vertices all of it reaches hold one that is no leaf, not v and not
+    in the SCC.
+    """
+    cover = leaf_cover(g)[1]
+    leaves = leaf_vertices(g)
+    index: dict[int, list[tuple]] = {}
+    for scc in sccs:
+        for _, nbrs in _inside(u, scc):
+            entry = (scc, nbrs - cover)
+            for x in entry[1]:
+                index.setdefault(x, []).append(entry)
     best_scc = None
     best_gain = -1
     for scc in sccs:
-        g2 = _apply(g, *next(_steps(g, u, scc)))
-        gain = 0
-        for other in sccs:
-            if other == scc:
-                continue
-            if find_degeneracy_witness(g2, u, other) is not None:
-                gain += 1
-        if gain > best_gain:
-            best_gain = gain
+        v = min(scc)
+        hit = hit_set(g, v)
+        gained = set()
+        for other, missed in {e for x in hit for e in index.get(x, ()) if e[0] != scc}:
+            if other not in gained:
+                rest = missed - hit
+                if not rest or any(w != v and w not in leaves and w not in other
+                                   for w in common_reach(g, rest)):
+                    gained.add(other)
+        if len(gained) > best_gain:
+            best_gain = len(gained)
             best_scc = scc
     return best_scc
 
@@ -219,12 +295,13 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
 
     # a prune leaves every other leaf SCC as it is (graph.py, rule 1), so
     # init prunes the root's message-connected leaf SCCs, in their order
-    init = _message_connected_leaf_sccs(g, u)
+    table = {scc: (Kind.MESSAGE_CONNECTED, None) for scc in _message_connected_leaf_sccs(g, u)}
+    init = list(table)
     for scc in init:
-        g = _take(g, u, scc, "init", steps)
+        g = _take(g, u, scc, "init", steps, table)
     connected = len(init)
 
-    g = _append_phase(g, u, steps, "init")
+    g = _append_phase(g, u, steps, "init", table)
 
     iterations = 0
     while True:
@@ -232,12 +309,12 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
         if not sccs:
             break
         iterations += 1
-        scc = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED)
+        scc = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED, table)
         if scc is None:
             # after the append phase only non-degenerated ones are left
             scc = _rule_of_thumb_pick(g, u, sccs)
-        g = _take(g, u, scc, "iteration", steps)
-        g = _append_phase(g, u, steps, "iteration")
+        g = _take(g, u, scc, "iteration", steps, table)
+        g = _append_phase(g, u, steps, "iteration", table)
         if len(steps) > limit:
             raise RuntimeError(f"step budget {limit} exceeded; this should be impossible")
 
@@ -550,13 +627,27 @@ def bound_multi(inst: Instance, exhaustive: bool = False,
                 max_states: int = 10 ** 6) -> BoundReport:
     """Lower bound from the combined algorithm (optionally sharpened by
     the exhaustive sequence search), upper bound from the pairwise code
-    over a maximum set of connecting trees."""
+    over a maximum set of connecting trees.
+
+    The trees and the code come first, so that the exhaustive search is
+    skipped when Algorithm 2's bound already equals the upper bound: it
+    is then exact, with 0 states visited.  The exhaustive maximum is at
+    least Algorithm 2's bound, since Algorithm 2's run is one of the step
+    sequences it searches, each step being the first of ``_steps``.  It
+    is at most the upper bound, since every admissible sequence bounds
+    the length of any decodable linear code from below, and the pairwise
+    code over any vertex-disjoint connecting trees decodes.  So both
+    equal that bound.
+    """
     lr = run_algorithm2(inst)
-    ex = exhaustive_lower_bound(inst, max_states=max_states) if exhaustive else None
-    lower = max(lr.bound, ex.bound) if ex is not None else lr.bound
     ts = find_connecting_trees(inst)
     code = encode_multi(inst, ts.trees)
     upper = len(code)
+    ex = None
+    if exhaustive:
+        ex = (ExhaustiveResult(bound=lr.bound, exact=True, states_visited=0)
+              if lr.bound == upper else exhaustive_lower_bound(inst, max_states=max_states))
+    lower = max(lr.bound, ex.bound) if ex is not None else lr.bound
     tight = lower == upper
     reason = None
     if tight:

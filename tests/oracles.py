@@ -12,17 +12,19 @@ from bisect import insort
 from enum import Enum
 from itertools import chain, combinations
 
-from uniprior import (DegeneracyWitness, Gf2Basis, Instance, LinearIndexCode,
-                      MessageGraph, PruneStep, PruneTrace, VerifyReport, WorkGraph,
-                      bit_layout, check_code, leaf_vertices, predecessors,
-                      verify_exhaustive)
+from uniprior import (DegeneracyWitness, Gf2Basis, Instance, Kind, LinearIndexCode,
+                      LowerBoundReport, MessageGraph, PruneStep, PruneTrace, StepKind,
+                      StepRecord, VerifyReport, WorkGraph, bit_layout, check_code,
+                      classify_leaf_scc, derive_message_graph, find_degeneracy_witness,
+                      leaf_vertices, predecessors, verify_exhaustive)
+from uniprior.classify import message_class
 from uniprior.codes import (CapExceededError, CodeSymbol, OracleResult, _candidate_vectors,
                             _coord, _receivers, _trivial_upper_code, symbol_vectors)
 from uniprior.graph import (SccPartition, _is_leaf, _strong_components, leaf_scc_sets, reach,
                             v_out)
 from uniprior.multi import (ConnectingTree, ExhaustiveResult, TreeSearchResult, _apply,
                             _graphs, _is_tree_vertex_set, _message_connected_leaf_sccs,
-                            _require_binary, _steps)
+                            _require_binary, _steps, step_limit)
 
 
 def brute_reach(g: WorkGraph) -> dict[int, set[int]]:
@@ -604,3 +606,91 @@ def reference_exhaustive_lower_bound(inst: Instance,
         if val is not None and stack:
             stack[-1][2] = max(stack[-1][2], val)
     return ExhaustiveResult(bound=val, exact=not truncated, states_visited=states)
+
+
+def _fresh(g: WorkGraph) -> WorkGraph:
+    """g rebuilt from its arcs, with nothing handed over by a step."""
+    return WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
+
+
+def reference_rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
+                                 sccs: list[frozenset[int]]) -> frozenset[int]:
+    """The lookahead that builds every candidate's pruned graph from
+    scratch and searches every other leaf SCC on it for a witness."""
+    best_scc = None
+    best_gain = -1
+    for scc in sccs:
+        g2 = _fresh(_apply(g, *next(_steps(g, u, scc))))
+        gain = sum(1 for other in sccs
+                   if other != scc and find_degeneracy_witness(g2, u, other) is not None)
+        if gain > best_gain:
+            best_gain = gain
+            best_scc = scc
+    return best_scc
+
+
+def reference_run_algorithm2(inst: Instance, picks: list | None = None) -> LowerBoundReport:
+    """Algorithm 2 with no class table: every scan classifies each leaf
+    SCC on a graph rebuilt from its arcs after every step, and each pick
+    is the reference lookahead's.  Each lookahead's (graph, candidates,
+    pick) is appended to picks when given."""
+    _require_binary(inst)
+    g = WorkGraph.from_instance(inst)
+    u = derive_message_graph(inst)
+    v_out_orig = v_out(g)
+    steps: list[StepRecord] = []
+
+    def first_of_kind(g, kind):
+        for scc in leaf_scc_sets(g):
+            cls = message_class(u, scc)[0]
+            if cls is None and kind is Kind.DEGENERATED:
+                cls = classify_leaf_scc(g, u, scc)
+            if cls is not None and cls.kind is kind:
+                return scc
+        return None
+
+    def take(g, scc, phase):
+        kind, x = next(_steps(g, u, scc))
+        g2 = _apply(g, kind, x)
+        if kind is StepKind.APPEND_DISCONNECTED:
+            dummy = g2.vertices[-1]
+            rec = StepRecord(kind=kind, scc=scc, phase=phase, added_arc=(x, dummy), dummy=dummy)
+        elif kind is StepKind.APPEND_DEGENERATED:
+            rec = StepRecord(kind=kind, scc=scc, phase=phase,
+                             added_arc=(x.v_inside, x.target), witness=x)
+        else:
+            rec = StepRecord(kind=kind, scc=scc, phase=phase, selected_vertex=x)
+        steps.append(rec)
+        return _fresh(g2)
+
+    def append_phase(g, phase):
+        while True:
+            changed = False
+            for kind in (Kind.MESSAGE_DISCONNECTED, Kind.DEGENERATED):
+                while (scc := first_of_kind(g, kind)) is not None:
+                    g = take(g, scc, phase)
+                    changed = True
+            if not changed:
+                return g
+
+    init = [scc for scc in leaf_scc_sets(g)
+            if (cls := message_class(u, scc)[0]) is not None
+            and cls.kind is Kind.MESSAGE_CONNECTED]
+    for scc in init:
+        g = take(g, scc, "init")
+    g = append_phase(g, "init")
+    iterations = 0
+    while sccs := leaf_scc_sets(g):
+        iterations += 1
+        scc = first_of_kind(g, Kind.MESSAGE_CONNECTED)
+        if scc is None:
+            scc = reference_rule_of_thumb_pick(g, u, sccs)
+            if picks is not None:
+                picks.append((g, sccs, scc))
+        g = take(g, scc, "iteration")
+        g = append_phase(g, "iteration")
+        assert len(steps) <= step_limit(inst.n)
+    bound = v_out_orig - (len(init) + iterations)
+    assert bound == v_out(g)
+    return LowerBoundReport(bound=bound, v_out_original=v_out_orig, connected_count=len(init),
+                            iterations=iterations, steps=tuple(steps), final_graph=g)

@@ -5,8 +5,8 @@ reach where the brute-force references do not:
 
 - Relabeling.  Permuting the message ids and shuffling the sender order
   leaves every exact value unchanged: the exhaustive maximum, the
-  connecting-tree count, the oracle's linear optimum and the one-sender
-  optimum.  Algorithm 2's bound and the greedy tree packing break ties
+  connecting-tree count, the oracle's linear optimum, the one-sender
+  optimum, and ``tight`` where both of its sides are exact.  Algorithm 2's bound and the greedy tree packing break ties
   by vertex id, so only their sandwich is checked.
 - Disjoint union.  No arc and no sender joins two instances placed side
   by side, so each exact value of the union is the sum over the parts.
@@ -51,9 +51,12 @@ def union(a, b):
 
 
 def exact_values(inst, oracle: bool = True) -> tuple:
-    """(exhaustive maximum, tree count, oracle length), each None unless
-    exact, after checking the sandwich lower <= upper, and exhaustive <=
-    oracle <= upper where the oracle is exact, on inst."""
+    """(exhaustive maximum, tree count, oracle length, tight), each None
+    unless exact, after checking the sandwich lower <= upper, and
+    exhaustive <= oracle <= upper where the oracle is exact, on inst.
+    tight is exact when both of its sides are: the lower bound is then
+    the exhaustive maximum, and the upper bound is V_out minus the tree
+    count and the message-connected leaf SCCs."""
     rep = bound_multi(inst, exhaustive=True, max_states=MAX_STATES)
     assert rep.lower <= rep.upper
     ex = rep.exhaustive.bound if rep.exhaustive.exact else None
@@ -62,7 +65,8 @@ def exact_values(inst, oracle: bool = True) -> tuple:
     if oracle and (res := oracle_min_linear(inst)).exact:
         assert rep.exhaustive.bound <= res.length <= rep.upper
         length = res.length
-    return ex, trees, length
+    tight = rep.tight if ex is not None and trees is not None else None
+    return ex, trees, length, tight
 
 
 def _pins():
@@ -89,18 +93,25 @@ def _agree(a: tuple, b: tuple) -> int:
 def test_relabeling_keeps_exact_values():
     rng = random.Random(211)
     checked = 0
+    tights = []  # each tight compared, on both sides exact
     for inst in _small(rng):
         base = exact_values(inst)
         for _ in range(2):
-            checked += _agree(base, exact_values(relabel(rng, inst)))
+            other = exact_values(relabel(rng, inst))
+            checked += _agree(base, other)
+            if base[3] is not None and other[3] is not None:
+                tights.append(base[3])
     for inst in _pins():  # the oracle needs up to 200 000 nodes here
-        checked += _agree(exact_values(inst, oracle=False),
-                          exact_values(relabel(rng, inst), oracle=False))
+        base, other = exact_values(inst, oracle=False), exact_values(relabel(rng, inst), oracle=False)
+        checked += _agree(base, other)
+        if base[3] is not None and other[3] is not None:
+            tights.append(base[3])
     for _ in range(40):
         inst = rand_single(rng, n_max=7, q_max=3)
         assert (solve_single(relabel(rng, inst)).optimal_length
                 == solve_single(inst).optimal_length)
     assert checked >= 400
+    assert tights.count(True) >= 50 and tights.count(False) >= 5, tights
 
 
 def test_disjoint_union_sums_exact_values():
@@ -110,15 +121,16 @@ def test_disjoint_union_sums_exact_values():
     checked = 0
     for a, b in zip(parts[::2], parts[1::2]):
         sums = [x + y if x is not None and y is not None else None
-                for x, y in zip(exact_values(a), exact_values(b))]
-        checked += _agree(sums, exact_values(union(a, b)))
+                for x, y in zip(exact_values(a)[:3], exact_values(b)[:3])]
+        checked += _agree(sums, exact_values(union(a, b))[:3])
     gap, n11, n9, n8, n7 = _pins()
     # past the tree limit and not tight; the pairs whose search ends
     # under the state cap (GAP with n7 needs more than 20 000 states)
     for a, b in ((gap, n8), (n11, n8), (n9, n8), (n8, n7)):
         sums = [x + y if x is not None and y is not None else None
-                for x, y in zip(exact_values(a, oracle=False), exact_values(b, oracle=False))]
-        checked += _agree(sums, exact_values(union(a, b), oracle=False))
+                for x, y in zip(exact_values(a, oracle=False)[:3],
+                                exact_values(b, oracle=False)[:3])]
+        checked += _agree(sums, exact_values(union(a, b), oracle=False)[:3])
     assert checked >= 100
 
 
