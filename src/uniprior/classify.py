@@ -39,6 +39,9 @@ def _require_leaf_scc(g: WorkGraph, scc: frozenset[int]) -> None:
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the graph")
 
 
+_CONNECTED = LeafSccClass(kind=Kind.MESSAGE_CONNECTED)
+
+
 def message_class(u: MessageGraph, scc: frozenset[int]) -> list:
     """What the message graph alone decides about a leaf SCC, computed
     once per (u, scc) and memoized on u, as a list: the class of a
@@ -66,9 +69,6 @@ def message_class(u: MessageGraph, scc: frozenset[int]) -> list:
             part = [_CONNECTED if len(comps) <= 1 else None, comps, None]
         u._scc_classes[scc] = part
     return part
-
-
-_CONNECTED = LeafSccClass(kind=Kind.MESSAGE_CONNECTED)
 
 
 def _inside(u: MessageGraph, scc: frozenset[int]) -> tuple:

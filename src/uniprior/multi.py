@@ -5,7 +5,9 @@ pairwise encoder, and tightness detection.
 Which steps a leaf SCC admits, and in which order, is decided in one
 place, the ``_steps`` generator, from the SCC's class; a step is a
 (kind, argument) pair, and ``_apply`` builds the graph it leads to.
-Algorithm 2 takes the first (canonical) step of the SCC it picks; the
+Algorithm 2 takes the first (canonical) step of the SCC it picks, and
+keeps one class per leaf SCC for its whole run, classifying again only
+what a step's hit set touches (``_rule_of_thumb_pick``); the
 exhaustive bound branches over all of them until a state reaches its
 ceiling, and builds a step's graph only when it searches that graph.
 
@@ -140,8 +142,8 @@ def _semi_entry(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> tuple:
 def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind,
                    table: dict) -> frozenset[int] | None:
     """The first leaf SCC of g, by smallest vertex, of the given kind, by
-    the run's class table, which maps leaf SCCs to (kind, the missed
-    neighbours of a non-degenerated one); a leaf SCC with no entry is
+    the run's class table, which maps each leaf SCC to its kind and, for
+    a semi one, its ``_semi_entry``; a leaf SCC with no entry is
     classified on g, and a semi one only by a scan for degenerated ones,
     as far as that scan reaches."""
     for scc in _leaf_sccs(g):
@@ -172,7 +174,9 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
     """Apply the canonical step on scc, record it, and step the class
     table: scc leaves it, and a non-degenerated entry whose missed
     neighbours meet the step's hit set is dropped, to be classified again
-    on the child (the hit-set rule of ``_rule_of_thumb_pick``)."""
+    on the child (the hit-set rule of ``_rule_of_thumb_pick``).  A
+    degenerated SCC classified on g itself is appended by the witness its
+    classification found, the first of ``witness_options``."""
     cls, extra = table.pop(scc)
     if cls is Kind.DEGENERATED and extra[0] is g:
         kind, x = StepKind.APPEND_DEGENERATED, extra[1]  # found by this scan
