@@ -177,11 +177,11 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
     on the child (the hit-set rule of ``_rule_of_thumb_pick``).  A
     degenerated SCC classified on g itself is appended by the witness its
     classification found, the first of ``witness_options``."""
-    cls, extra = table.pop(scc)
-    if cls is Kind.DEGENERATED and extra[0] is g:
+    scc_kind, extra = table.pop(scc)
+    if scc_kind is Kind.DEGENERATED and extra[0] is g:
         kind, x = StepKind.APPEND_DEGENERATED, extra[1]  # found by this scan
     else:
-        kind, x = next(_steps(g, u, scc, cls))
+        kind, x = next(_steps(g, u, scc, scc_kind))
     g2 = _apply(g, kind, x)
     if kind is StepKind.APPEND_DISCONNECTED:
         dummy = g2.vertices[-1]  # the new, largest vertex
