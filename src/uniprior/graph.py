@@ -34,10 +34,9 @@ leaf.
 
 A step whose source a had out-arcs also hands the child the parent's
 leaf set and leaf cover (the real leaves and every vertex with a path to
-one), if the parent had them, and the parent's reach sets.  Let the hit
-set H be {a} and every vertex with a path to a; H is the same read on
-parent or child, since a path into a never needs a's out-arcs (cut it at
-its first visit to a).
+one), if the parent had them.  Let the hit set H be {a} and every
+vertex with a path to a; H is the same read on parent or child, since a
+path into a never needs a's out-arcs (cut it at its first visit to a).
 - prune of a: leaves' = leaves + {a}.  If a is outside the cover (a
   reaches no real leaf, as in a leaf SCC), no path to a real leaf passes
   through a, so every old one survives, and the new ones end at a:
@@ -48,13 +47,13 @@ its first visit to a).
   a real leaf uses (a, b); after its last use it runs on parent arcs, so
   it exists iff b is in the cover, and then its start reaches a:
   cover' = cover + H if b is in the cover, else cover.
-- a vertex x outside H never visits a, so it uses none of the arcs the
-  step changed: reach'(x) = reach(x).  The child looks x up in the
-  parent's reach memo before it runs a search of its own.
+- any step: a vertex x outside H never visits a, so it uses none of the
+  arcs the step changed: reach'(x) = reach(x).  The hit-set rule of
+  ``multi._rule_of_thumb_pick`` rests on this.
 A step from a source without out-arcs (which the solver never takes)
 turns a leaf into a non-leaf, and the child computes leaves and cover
-afresh.  A child never holds its parent graph, only the parent's sets
-and reach memo, so no chain of graphs stays alive.
+afresh.  A child never holds its parent graph, only the parent's sets,
+so no chain of graphs stays alive.
 """
 
 from __future__ import annotations
@@ -86,35 +85,34 @@ class WorkGraph:
             raise ValueError(f"vertex {v} repeated")
         if not self.dummies <= vs:
             raise ValueError(f"dummy {min(self.dummies - vs)} is not a vertex")
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        inn: dict[int, list[int]] = {v: [] for v in self.vertices}
         for (i, j) in arcs:
-            if i == j or i not in vs or j not in vs or i in self.dummies:
-                _check_arc(i, j, vs, self.dummies)
-            out[i].append(j)
-            inn[j].append(i)
+            _check_arc(i, j, vs, self.dummies)
         for d in self.dummies:
             if self.weight.get(d, 0) != 0:
                 raise ValueError(f"dummy vertex {d} must have weight 0")
-        self._out: dict[int, tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in out.items()}
-        self._in: dict[int, tuple[int, ...]] = {v: tuple(sorted(ns)) for v, ns in inn.items()}
+        self._out: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
+        self._in: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
+        out: dict[int, list[int]] = {}
+        inn: dict[int, list[int]] = {}
+        for (i, j) in arcs:
+            out.setdefault(i, []).append(j)
+            inn.setdefault(j, []).append(i)
+        for v, ns in out.items():
+            self._out[v] = tuple(sorted(ns))
+        for v, ns in inn.items():
+            self._in[v] = tuple(sorted(ns))
         self._init_derived(None)
 
-    def _init_derived(self, leaf_sets, leaves=None, cover=None, reach_base=None,
-                      hits=None) -> None:
+    def _init_derived(self, leaf_sets, leaves=None, cover=None) -> None:
         # Derived structure, filled on first query unless the step that
         # made this graph handed it over (see the module docstring);
-        # _reach_base is (the parent's reach memo, the step's source, None
-        # when the graphs are equal), _hits holds hit sets by source, and
-        # _classes semi leaf-SCC classes for the exhaustive search.
+        # _hits holds hit sets by source.
         self._scc: SccPartition | None = None
         self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
         self._leaves: frozenset[int] | None = leaves
         self._cover: tuple | None = cover
         self._reach: dict[int, frozenset[int]] = {}
-        self._reach_base: tuple | None = reach_base
-        self._hits: dict[int, frozenset[int]] = {} if hits is None else hits
-        self._classes: dict = {}
+        self._hits: dict[int, frozenset[int]] = {}
 
     def _child(self, step: tuple | None, out, inn, new_leaf=None, vertices=None,
                weight=None, dummies=None) -> WorkGraph:
@@ -127,9 +125,8 @@ class WorkGraph:
         g.weight = self.weight if weight is None else weight
         g.dummies = self.dummies if dummies is None else dummies
         g._out, g._in = out, inn
-        memo = _reach_memo(self)
         if step is None:
-            g._init_derived(self._leaf_sets, self._leaves, self._cover, (memo, None))
+            g._init_derived(self._leaf_sets, self._leaves, self._cover)
             return g
         leaf_sets = self._leaf_sets
         if leaf_sets is not None:
@@ -148,9 +145,7 @@ class WorkGraph:
                     cover = (real, covered | hit_set(self, a))
                 else:
                     cover = self._cover
-        hit = self._hits.get(a)
-        g._init_derived(leaf_sets, leaves, cover, (memo, a) if memo else None,
-                        None if hit is None else {a: hit})
+        g._init_derived(leaf_sets, leaves, cover)
         return g
 
     @classmethod
@@ -194,7 +189,7 @@ class WorkGraph:
 
     def with_new_dummy(self, source: int) -> tuple[WorkGraph, int]:
         """Add a fresh dummy vertex and an arc source -> dummy."""
-        d = self.vertices[-1] + 1  # vertices are ascending
+        d = max(self.vertices) + 1
         out = dict(self._out)
         out[d] = ()
         _check_arc(source, d, out, self.dummies)
@@ -368,47 +363,25 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
 def hit_set(g: WorkGraph, a: int) -> frozenset[int]:
     """a and every vertex with a path to a, computed once per graph and
     vertex: the vertices whose reach a step from a can change, the same
-    on g and on the child."""
+    on g and on the child (see the module docstring)."""
     found = g._hits.get(a)
     if found is None:
         found = g._hits[a] = _closure(g._in, (a,)) | {a}
     return found
 
 
-def _reach_memo(g: WorkGraph) -> dict[int, frozenset[int]]:
-    """g's reach memo with every set it may take from its parent's copied
-    in, so that a child, which looks up only this memo, sees them all."""
-    base = g._reach_base
-    if base is not None:
-        g._reach_base = None
-        memo, a = base
-        cut = () if a is None else hit_set(g, a)
-        own = g._reach
-        for x, found in memo.items():
-            if x not in cut and x not in own:
-                own[x] = found
-    return g._reach
-
-
 def reach(g: WorkGraph, v: int) -> frozenset[int]:
     """All vertices with a nonempty directed path from v, computed once
-    per graph and vertex, or read from the parent's memo when v is
-    outside the hit set of the step that made g; the mirror of
-    predecessors."""
+    per graph and vertex; the mirror of predecessors."""
     found = g._reach.get(v)
     if found is None:
         if v not in g._out:
             raise ValueError(f"vertex {v} not in graph")
-        base = g._reach_base
-        if base is not None and (base[1] is None or v not in hit_set(g, base[1])):
-            found = base[0].get(v)
-        if found is None:
-            found = _closure(g._out, (v,))
-        g._reach[v] = found
+        found = g._reach[v] = _closure(g._out, (v,))
     return found
 
 
 def v_out(g: WorkGraph) -> int:
     """Number of non-leaf vertices.  Dummies are always leaves, so this
     counts real vertices only."""
-    return len(g.vertices) - len(leaf_vertices(g))
+    return sum(1 for v in g.vertices if g.out_degree(v) > 0)

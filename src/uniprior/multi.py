@@ -21,7 +21,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
-from .classify import (Kind, LeafSccClass, _inside, classify_leaf_scc, common_reach,
+from .classify import (Kind, _inside, classify_leaf_scc, common_reach,
                        find_degeneracy_witness, message_class, missed_neighbors,
                        witness_options)
 from .codes import CodeSymbol, LinearIndexCode
@@ -83,19 +83,6 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
 
 # ------------------------------------------------------------ steps
 
-def _class_of(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> LeafSccClass:
-    """The class of a leaf SCC of g.  A message-connected or -disconnected
-    class is read from the message graph's memo; a semi SCC is classified
-    once per graph and SCC, since the exhaustive search enumerates a
-    state's steps once and scores its children from it."""
-    cls = message_class(u, scc)[0]
-    if cls is None:
-        cls = g._classes.get(scc)
-        if cls is None:
-            cls = g._classes[scc] = classify_leaf_scc(g, u, scc)
-    return cls
-
-
 def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int], kind: Kind | None = None):
     """Every admissible step on one leaf SCC of g, canonical step first,
     as (step kind, dummy source / witness / pruned vertex), with no graph
@@ -105,7 +92,7 @@ def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int], kind: Kind | None
     PruneConnected, all others PruneNonDegenerated.  kind is the SCC's
     class kind when the caller knows it."""
     if kind is None:
-        kind = _class_of(g, u, scc).kind
+        kind = (message_class(u, scc)[0] or classify_leaf_scc(g, u, scc)).kind
     if kind is Kind.MESSAGE_DISCONNECTED:
         # one fresh dummy, one arc from the smallest SCC vertex to it
         yield StepKind.APPEND_DISCONNECTED, min(scc)
@@ -196,8 +183,8 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
         hit = None
         for other, (k, missed) in list(table.items()):
             if k is Kind.NON_DEGENERATED:
-                if hit is None:  # the same on g and g2
-                    hit = hit_set(g2, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
+                if hit is None:  # the same on g and g2; g may hold it already
+                    hit = hit_set(g, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
                 if not missed.isdisjoint(hit):
                     del table[other]
     return g2
@@ -631,27 +618,13 @@ def bound_multi(inst: Instance, exhaustive: bool = False,
                 max_states: int = 10 ** 6) -> BoundReport:
     """Lower bound from the combined algorithm (optionally sharpened by
     the exhaustive sequence search), upper bound from the pairwise code
-    over a maximum set of connecting trees.
-
-    The trees and the code come first, so that the exhaustive search is
-    skipped when Algorithm 2's bound already equals the upper bound: it
-    is then exact, with 0 states visited.  The exhaustive maximum is at
-    least Algorithm 2's bound, since Algorithm 2's run is one of the step
-    sequences it searches, each step being the first of ``_steps``.  It
-    is at most the upper bound, since every admissible sequence bounds
-    the length of any decodable linear code from below, and the pairwise
-    code over any vertex-disjoint connecting trees decodes.  So both
-    equal that bound.
-    """
+    over a maximum set of connecting trees."""
     lr = run_algorithm2(inst)
+    ex = exhaustive_lower_bound(inst, max_states=max_states) if exhaustive else None
+    lower = max(lr.bound, ex.bound) if ex is not None else lr.bound
     ts = find_connecting_trees(inst)
     code = encode_multi(inst, ts.trees)
     upper = len(code)
-    ex = None
-    if exhaustive:
-        ex = (ExhaustiveResult(bound=lr.bound, exact=True, states_visited=0)
-              if lr.bound == upper else exhaustive_lower_bound(inst, max_states=max_states))
-    lower = max(lr.bound, ex.bound) if ex is not None else lr.bound
     tight = lower == upper
     reason = None
     if tight:

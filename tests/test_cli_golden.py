@@ -6,9 +6,7 @@ The digests were recorded from the implementation that emitted JSON
 through ``json.dumps(..., indent=2, sort_keys=True)``; those of cyclic
 and multi again when the exhaustive search learned to stop a state at
 its ceiling, which moved only its states, its exactness, ``partial``
-and the exit code; and those of every family but broken when
-``bound --exhaustive`` learned to skip the search on a tight bound,
-which moved only the same four, on tight instances.  Any change to a
+and the exit code.  Any change to a
 byte of stdout or stderr, an exit code or a written code file moves a
 digest.  To find the first call that moved, compare ``_family_lines``
 of the two implementations.
@@ -83,11 +81,11 @@ FAMILIES = {
 
 DIGESTS = {
     "broken": "44e663b5d3ce677cc09314e59e1c9ea5a854d63409ef8b73f1ca529615d4ec33",
-    "cyclic": "d939f4213ad93041077f1b91196b79b4bff6e23d9de3b24c281659e9b7752d1a",
-    "disjoint": "a5fe3261ba1ccca0263987086d6c5a66fea2e41be3847201cd9cd28fe504aeda",
-    "multi": "5fef538962126830a5fdfc7c58df9c56703892a19ac9ca4d11ce191065f0c86f",
-    "single": "da9dd37ed122714da4d4337857b4b75b73f2156d6044a0d2ff5a2bdb5351953f",
-    "triples": "32abe24b8894faa380ffe356088bf60485378f8383ea106ed63589cd8ed50dbc",
+    "cyclic": "90fcfa3ad9d69ea089b5ced5bb779a26f26117895622a95beac3b541bb79d354",
+    "disjoint": "7ed8fe1e9f1e43656b70fbc457c3682998e11cb97ac7d05ca128680c00ea9c8b",
+    "multi": "44bb977d3da8ac90e4d25c8a066f77a3912399ffc38712d23606176c65af809a",
+    "single": "8f149b5cb8b310b7e88d34c5dea4c1c6f26296e9b41c19fa12e82cc3b81356a8",
+    "triples": "8e1278ca9c4a8f2acfd60851695819af5ea0a605b05e6638c9387f671c56f1b7",
 }
 
 

@@ -1,5 +1,5 @@
 """Algorithm 2 carries its state from step to step: each graph takes its
-leaf set, leaf cover and reach sets from the graph it was stepped from,
+leaf set and leaf cover from the graph it was stepped from,
 the run keeps one class per leaf SCC, and the lookahead searches only
 the leaf SCCs a candidate's prune touches.  These tests hold the result
 to the algorithm that derives everything afresh after every step."""
@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from uniprior import (WorkGraph, derive_message_graph, exhaustive_lower_bound, leaf_scc_sets,
-                      leaf_vertices, reach, run_algorithm2)
+                      leaf_vertices, run_algorithm2)
 from uniprior.graph import leaf_cover
 from uniprior.instance import Instance
 from uniprior.multi import _rule_of_thumb_pick
@@ -71,7 +71,7 @@ def _spy_children(monkeypatch) -> list:
     return made
 
 
-def test_inherited_leaf_cover_and_reach_match_fresh_graphs(monkeypatch):
+def test_inherited_leaf_cover_matches_fresh_graphs(monkeypatch):
     # every Algorithm-2 state, each state's lookahead children (the prune
     # of each leaf SCC's smallest vertex) and every exhaustive-search state
     made = _spy_children(monkeypatch)
@@ -93,7 +93,6 @@ def test_inherited_leaf_cover_and_reach_match_fresh_graphs(monkeypatch):
         fresh = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
         assert leaf_vertices(g) == leaf_vertices(fresh)
         assert leaf_cover(g) == leaf_cover(fresh)
-        assert all(reach(g, v) == reach(fresh, v) for v in g.vertices)
         inherited["leaves"] += leaves
         inherited["cover"] += cover
     assert min(inherited.values()) >= 2000, (len(made), inherited)

@@ -6,8 +6,9 @@ reach where the brute-force references do not:
 - Relabeling.  Permuting the message ids and shuffling the sender order
   leaves every exact value unchanged: the exhaustive maximum, the
   connecting-tree count, the oracle's linear optimum, the one-sender
-  optimum, and ``tight`` where both of its sides are exact.  Algorithm 2's bound and the greedy tree packing break ties
-  by vertex id, so only their sandwich is checked.
+  optimum, and ``tight`` where both of its sides are exact.  Algorithm
+  2's bound and the greedy tree packing break ties by vertex id, so
+  only their sandwich is checked.
 - Disjoint union.  No arc and no sender joins two instances placed side
   by side, so each exact value of the union is the sum over the parts.
 - Scaling.  For one sender, multiplying every q by t multiplies the
