@@ -1,7 +1,9 @@
 """Directed information-flow graph machinery.
 
 WorkGraph is the object pruning and appending operate on.  Instances of
-it are treated as values: every mutation helper returns a fresh graph.
+it are treated as values: a step helper returns a new graph, or the
+graph itself when the step changes nothing (an arc already there, a
+prune of a sink).
 A graph is stored as its adjacency alone (``arcs`` is read from it).
 Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
@@ -30,30 +32,8 @@ a:
   and all of M reaches a), and M is a leaf SCC iff no arc of the parent
   leaves it.
 Every other SCC keeps its vertices and out-arcs, hence whether it is a
-leaf.
-
-A step whose source a had out-arcs also hands the child the parent's
-leaf set and leaf cover (the real leaves and every vertex with a path to
-one), if the parent had them.  Let the hit set H be {a} and every
-vertex with a path to a; H is the same read on parent or child, since a
-path into a never needs a's out-arcs (cut it at its first visit to a).
-- prune of a: leaves' = leaves + {a}.  If a is outside the cover (a
-  reaches no real leaf, as in a leaf SCC), no path to a real leaf passes
-  through a, so every old one survives, and the new ones end at a:
-  cover' = cover + H.  Otherwise the cover is computed afresh.
-- new dummy d under a: leaves' = leaves + {d}; the new arc ends at a sink
-  that is no real leaf, so cover' = cover.
-- new arc (a, b): a stays a non-leaf, so leaves' = leaves.  A new path to
-  a real leaf uses (a, b); after its last use it runs on parent arcs, so
-  it exists iff b is in the cover, and then its start reaches a:
-  cover' = cover + H if b is in the cover, else cover.
-- any step: a vertex x outside H never visits a, so it uses none of the
-  arcs the step changed: reach'(x) = reach(x).  The hit-set rule of
-  ``multi._rule_of_thumb_pick`` rests on this.
-A step from a source without out-arcs (which the solver never takes)
-turns a leaf into a non-leaf, and the child computes leaves and cover
-afresh.  A child never holds its parent graph, only the parent's sets,
-so no chain of graphs stays alive.
+leaf.  The child computes everything else on first query, like a root
+graph, and never holds its parent, so no chain of graphs stays alive.
 """
 
 from __future__ import annotations
@@ -103,49 +83,27 @@ class WorkGraph:
             self._in[v] = tuple(sorted(ns))
         self._init_derived(None)
 
-    def _init_derived(self, leaf_sets, leaves=None, cover=None) -> None:
+    def _init_derived(self, leaf_sets) -> None:
         # Derived structure, filled on first query unless the step that
-        # made this graph handed it over (see the module docstring);
-        # _hits holds hit sets by source.
+        # made this graph handed over its leaf SCCs (see the module
+        # docstring).
         self._scc: SccPartition | None = None
         self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
-        self._leaves: frozenset[int] | None = leaves
-        self._cover: tuple | None = cover
+        self._leaves: frozenset[int] | None = None
+        self._cover: tuple | None = None
         self._reach: dict[int, frozenset[int]] = {}
-        self._hits: dict[int, frozenset[int]] = {}
 
-    def _child(self, step: tuple | None, out, inn, new_leaf=None, vertices=None,
-               weight=None, dummies=None) -> WorkGraph:
+    def _child(self, step: tuple, out, inn, vertices=None, weight=None,
+               dummies=None) -> WorkGraph:
         """A graph one step from this one, on the given patched adjacency:
-        step is (a,) for a prune of a (new_leaf a) or a dummy under a
-        (new_leaf the dummy), (a, b) for a new arc, None when the child
-        equals this graph."""
+        step is (a,) for a prune of a or a dummy under a, (a, b) for a new
+        arc."""
         g = WorkGraph.__new__(WorkGraph)
         g.vertices = self.vertices if vertices is None else vertices
         g.weight = self.weight if weight is None else weight
         g.dummies = self.dummies if dummies is None else dummies
         g._out, g._in = out, inn
-        if step is None:
-            g._init_derived(self._leaf_sets, self._leaves, self._cover)
-            return g
-        leaf_sets = self._leaf_sets
-        if leaf_sets is not None:
-            leaf_sets = _stepped_leaf_sccs(self, *step)
-        a = step[0]
-        leaves = cover = None
-        if self._out[a]:
-            if self._leaves is not None:
-                leaves = self._leaves if new_leaf is None else self._leaves | {new_leaf}
-            if self._cover is not None:
-                real, covered = self._cover
-                if new_leaf == a:
-                    if a not in covered:
-                        cover = (real | {a}, covered | hit_set(self, a))
-                elif len(step) == 2 and step[1] in covered:
-                    cover = (real, covered | hit_set(self, a))
-                else:
-                    cover = self._cover
-        g._init_derived(leaf_sets, leaves, cover)
+        g._init_derived(None if self._leaf_sets is None else _stepped_leaf_sccs(self, *step))
         return g
 
     @classmethod
@@ -169,7 +127,7 @@ class WorkGraph:
     def with_arc(self, i: int, j: int) -> WorkGraph:
         _check_arc(i, j, self._out, self.dummies)
         if j in self._out[i]:
-            return self._child(None, self._out, self._in)
+            return self
         out = dict(self._out)
         out[i] = tuple(sorted(out[i] + (j,)))
         inn = dict(self._in)
@@ -179,13 +137,13 @@ class WorkGraph:
     def without_out_arcs(self, v: int) -> WorkGraph:
         outs = self._out.get(v, ())
         if not outs:
-            return self._child(None, self._out, self._in)
+            return self
         out = dict(self._out)
         out[v] = ()
         inn = dict(self._in)
         for w in outs:
             inn[w] = tuple(x for x in inn[w] if x != v)
-        return self._child((v,), out, inn, new_leaf=v)
+        return self._child((v,), out, inn)
 
     def with_new_dummy(self, source: int) -> tuple[WorkGraph, int]:
         """Add a fresh dummy vertex and an arc source -> dummy."""
@@ -196,7 +154,7 @@ class WorkGraph:
         out[source] += (d,)  # d is the largest vertex, so this stays sorted
         inn = dict(self._in)
         inn[d] = (source,)
-        g = self._child((source,), out, inn, new_leaf=d, vertices=self.vertices + (d,),
+        g = self._child((source,), out, inn, vertices=self.vertices + (d,),
                         weight={**self.weight, d: 0}, dummies=self.dummies | {d})
         return g, d
 
@@ -328,9 +286,9 @@ def leaf_vertices(g: WorkGraph) -> frozenset[int]:
 
 def leaf_cover(g: WorkGraph) -> tuple[frozenset[int], frozenset[int]]:
     """(real leaves, those leaves with all their predecessors), computed
-    once per graph or handed over by the step that made it: the s_outside
-    of a leaf-only degeneracy witness and the vertices it covers.  No leaf
-    lies in a leaf SCC, so these are the same for every leaf SCC of g."""
+    once per graph: the s_outside of a leaf-only degeneracy witness and
+    the vertices it covers.  No leaf lies in a leaf SCC, so these are the
+    same for every leaf SCC of g."""
     if g._cover is None:
         real = leaf_vertices(g) - g.dummies
         g._cover = (real, real | _closure(g._in, real))
@@ -358,16 +316,6 @@ def predecessors(g: WorkGraph, v: int) -> frozenset[int]:
     if v not in g._in:
         raise ValueError(f"vertex {v} not in graph")
     return _closure(g._in, (v,))
-
-
-def hit_set(g: WorkGraph, a: int) -> frozenset[int]:
-    """a and every vertex with a path to a, computed once per graph and
-    vertex: the vertices whose reach a step from a can change, the same
-    on g and on the child (see the module docstring)."""
-    found = g._hits.get(a)
-    if found is None:
-        found = g._hits[a] = _closure(g._in, (a,)) | {a}
-    return found
 
 
 def reach(g: WorkGraph, v: int) -> frozenset[int]:

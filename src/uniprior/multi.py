@@ -25,8 +25,8 @@ from .classify import (Kind, _inside, classify_leaf_scc, common_reach,
                        find_degeneracy_witness, message_class, missed_neighbors,
                        witness_options)
 from .codes import CodeSymbol, LinearIndexCode
-from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, hit_set,
-                    leaf_cover, leaf_vertices, reach, v_out)
+from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, leaf_cover,
+                    leaf_vertices, predecessors, reach, v_out)
 from .instance import Instance, MessageGraph, derive_message_graph
 
 
@@ -183,8 +183,8 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
         hit = None
         for other, (k, missed) in list(table.items()):
             if k is Kind.NON_DEGENERATED:
-                if hit is None:  # the same on g and g2; g may hold it already
-                    hit = hit_set(g, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
+                if hit is None:  # the same on g and g2
+                    hit = predecessors(g, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
                 if not missed.isdisjoint(hit):
                     del table[other]
     return g2
@@ -220,16 +220,21 @@ def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
 
     The hit-set rule: a step whose source a lies in another leaf SCC can
     give K a witness only if its hit set H (a and every vertex reaching
-    a) meets K's missed set.  A prune of a grows the cover by H alone and
-    turns a into a real leaf.  If H misses the missed set, that set stays
-    as it is, and no missed vertex reaches a, so each keeps its reach
-    set: the targets can only lose a.  A witness append (a, b) keeps the
-    leaves, grows the cover by H or not at all, and grows only the reach
-    sets of H, so the same holds.  A dummy append changes no cover and
-    adds only the dummy to reach sets, which is never a target, so its
-    hit set is empty.  Under either append a degenerated SCC stays
-    degenerated: the cover and the reach sets only grow, so a target
-    survives.
+    a: ``predecessors(g, a)``, which holds a, since a lies on a cycle of
+    its leaf SCC) meets K's missed set.  H is the same before and after
+    the step (a path into a never needs a's out-arcs), and a vertex
+    outside H has no path through a, so it uses no arc the step changed
+    and keeps its reach set.  A prune of a turns a into a real leaf; a
+    reached no real leaf, so no path to one ran through it, and the cover
+    grows by H alone.  If H misses the missed set, that set stays as it
+    is, and each missed vertex keeps its reach set: the targets can only
+    lose a.  A witness append (a, b) keeps the leaves; a new path to a
+    real leaf takes (a, b) and then old arcs, so it starts in H, and the
+    cover grows by H or not at all.  Only the reach sets of H grow, so
+    the same holds.  A dummy append changes no cover and adds only the
+    dummy to reach sets, which is never a target, so its hit set is
+    empty.  Under either append a degenerated SCC stays degenerated: the
+    cover and the reach sets only grow, so a target survives.
 
     So a candidate's prune of v = min(C) is scored with no child built:
     only the components whose missed set meets v's hit set H are
@@ -251,7 +256,7 @@ def _rule_of_thumb_pick(g: WorkGraph, u: MessageGraph,
     best_gain = -1
     for scc in sccs:
         v = min(scc)
-        hit = hit_set(g, v)
+        hit = predecessors(g, v)
         gained = set()
         for other, missed in {e for x in hit for e in index.get(x, ()) if e[0] != scc}:
             if other not in gained:

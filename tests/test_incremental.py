@@ -1,8 +1,8 @@
 """Algorithm 2 carries its state from step to step: each graph takes its
-leaf set and leaf cover from the graph it was stepped from,
-the run keeps one class per leaf SCC, and the lookahead searches only
-the leaf SCCs a candidate's prune touches.  These tests hold the result
-to the algorithm that derives everything afresh after every step."""
+leaf SCCs from the graph it was stepped from, the run keeps one class
+per leaf SCC, and the lookahead searches only the leaf SCCs a
+candidate's prune touches.  These tests hold the result to the
+algorithm that derives everything afresh after every step."""
 
 from __future__ import annotations
 
@@ -57,21 +57,21 @@ def test_algorithm2_matches_the_reference_on_benchmark_shaped_instances():
 
 
 def _spy_children(monkeypatch) -> list:
-    """Record every graph stepped from another, with whether its leaf set
-    and leaf cover were handed over at the step."""
+    """Record every graph stepped from another, with whether its leaf
+    SCCs were handed over at the step."""
     made = []
     child = WorkGraph._child
 
     def spy(self, *args, **kwargs):
         g = child(self, *args, **kwargs)
-        made.append((g, g._leaves is not None, g._cover is not None))
+        made.append((g, g._leaf_sets is not None))
         return g
 
     monkeypatch.setattr(WorkGraph, "_child", spy)
     return made
 
 
-def test_inherited_leaf_cover_matches_fresh_graphs(monkeypatch):
+def test_stepped_graphs_match_fresh_graphs(monkeypatch):
     # every Algorithm-2 state, each state's lookahead children (the prune
     # of each leaf SCC's smallest vertex) and every exhaustive-search state
     made = _spy_children(monkeypatch)
@@ -81,18 +81,17 @@ def test_inherited_leaf_cover_matches_fresh_graphs(monkeypatch):
     for inst in insts:
         start = len(made)
         run_algorithm2(inst)
-        for g, _, _ in made[start:]:
-            leaf_cover(g)
+        for g, _ in made[start:]:
             for scc in leaf_scc_sets(g):
                 g.without_out_arcs(min(scc))
         if inst.n <= 12:
             exhaustive_lower_bound(Instance(inst.n, inst.q, inst.arcs, inst.senders),
                                    max_states=100)
-    inherited = {"leaves": 0, "cover": 0}
-    for g, leaves, cover in made:
+    inherited = 0
+    for g, handed in made:
         fresh = WorkGraph(g.vertices, g.arcs, g.weight, g.dummies)
+        assert leaf_scc_sets(g) == leaf_scc_sets(fresh)
         assert leaf_vertices(g) == leaf_vertices(fresh)
         assert leaf_cover(g) == leaf_cover(fresh)
-        inherited["leaves"] += leaves
-        inherited["cover"] += cover
-    assert min(inherited.values()) >= 2000, (len(made), inherited)
+        inherited += handed
+    assert inherited >= 2000, (len(made), inherited)

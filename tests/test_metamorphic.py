@@ -135,17 +135,22 @@ def test_disjoint_union_sums_exact_values():
     assert checked >= 100
 
 
-def test_one_sender_optimum_scales_with_q_and_ignores_labels():
-    # one sender, n = 10 000: disjoint 2- and 3-cycles on 1..9000 plus
-    # 900 arcs across them, so thousands of leaf SCCs, an arc into each
-    # leaf 9001..10 000, and q in 1..3.  Tripling q triples the optimum,
-    # and the emitted code is that long and decodes; relabeling leaves
-    # the optimum alone
-    rng = random.Random(227)
-    n, m = 10_000, 9_000
+def _one_sender(rng: random.Random, n: int):
+    """One sender over n messages: disjoint 2- and 3-cycles on the first
+    m = 9n/10 with m/10 arcs across them, so thousands of leaf SCCs, an
+    arc into each leaf m+1..n, and q in 1..3."""
+    m = n * 9 // 10
     arcs = cyclic_arcs(rng, range(1, m + 1), m // 10)
     arcs += [[rng.randint(1, m), v] for v in range(m + 1, n + 1)]
-    inst = make_instance(n, arcs, [list(range(1, n + 1))], [rng.randint(1, 3) for _ in range(n)])
+    return make_instance(n, arcs, [list(range(1, n + 1))], [rng.randint(1, 3) for _ in range(n)])
+
+
+def test_one_sender_optimum_scales_with_q_and_ignores_labels():
+    # n = 10 000: tripling q triples the optimum, and the emitted code is
+    # that long and decodes; relabeling leaves the optimum alone
+    rng = random.Random(227)
+    n = 10_000
+    inst = _one_sender(rng, n)
     base = solve_single(inst).optimal_length
     tripled = make_instance(n, [list(a) for a in inst.arcs], [list(range(1, n + 1))],
                             [3 * x for x in inst.q])
@@ -153,3 +158,13 @@ def test_one_sender_optimum_scales_with_q_and_ignores_labels():
     assert sol.optimal_length == 3 * base == len(sol.code)
     assert verify_linear(tripled, sol.code).valid
     assert solve_single(relabel(rng, inst)).optimal_length == base
+
+
+def test_one_sender_optimum_ignores_labels_at_n_30000():
+    # the optimum prunes thousands of leaf SCCs, and a relabeling leaves
+    # it alone
+    rng = random.Random(229)
+    inst = _one_sender(rng, 30_000)
+    sol = solve_single(inst)
+    assert len(sol.trace.steps) >= 2000
+    assert solve_single(relabel(rng, inst)).optimal_length == sol.optimal_length
