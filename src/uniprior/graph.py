@@ -9,8 +9,9 @@ Dummy vertices (added when appending message-disconnected leaf SCCs)
 carry weight 0 and never source an arc, so they are permanent leaves.
 
 Because graphs are values, derived structure is stored on the graph on
-first use: the leaf SCCs, the SCC partition, the leaf set, the leaf
-cover the witness search starts from, and each vertex's forward reach.
+first use: the leaf SCCs, the leaf set, the leaf cover the witness
+search starts from, and each vertex's forward reach.  The full SCC
+partition is not kept: only the leaf SCCs are read again.
 A graph made from another by one step (``with_arc``,
 ``without_out_arcs``, ``with_new_dummy``) patches its parent's adjacency
 and checks only the new arc.  If the parent's leaf SCCs (SCCs of >= 2
@@ -87,7 +88,6 @@ class WorkGraph:
         # Derived structure, filled on first query unless the step that
         # made this graph handed over its leaf SCCs (see the module
         # docstring).
-        self._scc: SccPartition | None = None
         self._leaf_sets: tuple[frozenset[int], ...] | None = leaf_sets
         self._leaves: frozenset[int] | None = None
         self._cover: tuple | None = None
@@ -181,16 +181,15 @@ class SccPartition(namedtuple("SccPartition", "components leaf_flags")):
 
 
 def scc_partition(g: WorkGraph) -> SccPartition:
-    """Kosaraju's two passes, iterative, run once per graph on first query.
-    Components are listed by smallest contained vertex so traces are
-    reproducible.  Exact for any graph; the leaf SCCs of a graph derived
-    by one step come from its parent's instead (``leaf_scc_sets``)."""
-    if g._scc is None:
-        comps = _strong_components(g._out, g._in, g.vertices)
-        comps.sort(key=min)
-        g._scc = SccPartition(components=tuple(comps),
-                              leaf_flags=tuple(_is_leaf(g, c) for c in comps))
-    return g._scc
+    """Kosaraju's two passes, iterative, run afresh on each call; the leaf
+    SCCs it gives are kept on the graph (``leaf_scc_sets``).  Components
+    are listed by smallest contained vertex so traces are reproducible.
+    Exact for any graph; the leaf SCCs of a graph derived by one step come
+    from its parent's instead."""
+    comps = _strong_components(g._out, g._in, g.vertices)
+    comps.sort(key=min)
+    return SccPartition(components=tuple(comps),
+                        leaf_flags=tuple(_is_leaf(g, c) for c in comps))
 
 
 def _is_leaf(g: WorkGraph, comp: frozenset[int]) -> bool:

@@ -3,13 +3,16 @@ the sequence-optimized exhaustive bound, connecting trees and the
 pairwise encoder, and tightness detection.
 
 Which steps a leaf SCC admits, and in which order, is decided in one
-place, the ``_steps`` generator, from the SCC's class; a step is a
-(kind, argument) pair, and ``_apply`` builds the graph it leads to.
-Algorithm 2 takes the first (canonical) step of the SCC it picks, and
-keeps one class per leaf SCC for its whole run, classifying again only
-what a step's hit set touches (``_rule_of_thumb_pick``); the
-exhaustive bound branches over all of them until a state reaches its
-ceiling, and builds a step's graph only when it searches that graph.
+place, the ``_steps`` generator, from the SCC's message class and its
+witnesses; a step is a (kind, argument) pair, and ``_apply`` builds the
+graph it leads to.  Algorithm 2 takes the first (canonical) step of the
+SCC it picks.  It reads the message-connected and message-disconnected
+classes from ``message_class``, which memoizes them, and keeps for its
+whole run only its non-degenerated leaf SCCs, each with its missed
+neighbours, searching again only those a step's hit set touches
+(``_rule_of_thumb_pick``); the exhaustive bound branches over all of
+them until a state reaches its ceiling, and builds a step's graph only
+when it searches that graph.
 
 All multi-sender machinery assumes binary messages (every q_i = 1),
 which is where pruning preserves optimality vertex-by-vertex.
@@ -21,9 +24,8 @@ from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
-from .classify import (Kind, _inside, classify_leaf_scc, common_reach,
-                       find_degeneracy_witness, message_class, missed_neighbors,
-                       witness_options)
+from .classify import (Kind, _inside, common_reach, find_degeneracy_witness,
+                       message_class, missed_neighbors, witness_options)
 from .codes import CodeSymbol, LinearIndexCode
 from .graph import (WorkGraph, _closure, _leaf_sccs, _stepped_leaf_sccs, leaf_cover,
                     leaf_vertices, predecessors, reach, v_out)
@@ -83,24 +85,24 @@ def _graphs(inst: Instance) -> tuple[WorkGraph, MessageGraph]:
 
 # ------------------------------------------------------------ steps
 
-def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int], kind: Kind | None = None):
+def _steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
     """Every admissible step on one leaf SCC of g, canonical step first,
     as (step kind, dummy source / witness / pruned vertex), with no graph
     built: the dummy append of a message-disconnected SCC, then each
-    witness append of a degenerated one, then the prune of each vertex in
-    ascending order.  Prunes of a message-connected SCC are
-    PruneConnected, all others PruneNonDegenerated.  kind is the SCC's
-    class kind when the caller knows it."""
-    if kind is None:
-        kind = (message_class(u, scc)[0] or classify_leaf_scc(g, u, scc)).kind
-    if kind is Kind.MESSAGE_DISCONNECTED:
-        # one fresh dummy, one arc from the smallest SCC vertex to it
-        yield StepKind.APPEND_DISCONNECTED, min(scc)
-    elif kind is Kind.DEGENERATED:
+    witness append of a semi one (none when it is non-degenerated), then
+    the prune of each vertex in ascending order.  Prunes of a
+    message-connected SCC are PruneConnected, all others
+    PruneNonDegenerated."""
+    cls = message_class(u, scc)[0]
+    prune = StepKind.PRUNE_NON_DEGENERATED
+    if cls is None:
         for w in witness_options(g, u, scc):  # the canonical witness first
             yield StepKind.APPEND_DEGENERATED, w
-    prune = (StepKind.PRUNE_CONNECTED if kind is Kind.MESSAGE_CONNECTED
-             else StepKind.PRUNE_NON_DEGENERATED)
+    elif cls.kind is Kind.MESSAGE_DISCONNECTED:
+        # one fresh dummy, one arc from the smallest SCC vertex to it
+        yield StepKind.APPEND_DISCONNECTED, min(scc)
+    else:
+        prune = StepKind.PRUNE_CONNECTED
     for v in sorted(scc):
         yield prune, v
 
@@ -116,35 +118,25 @@ def _apply(g: WorkGraph, kind: StepKind, x) -> WorkGraph:
 
 # ------------------------------------------------------- Algorithm 2
 
-def _semi_entry(g: WorkGraph, u: MessageGraph, scc: frozenset[int]) -> tuple:
-    """The class table entry of a semi leaf SCC of g: (Degenerated, (g,
-    its canonical witness on g)), or (NonDegenerated, its missed
-    neighbours)."""
-    witness = find_degeneracy_witness(g, u, scc)
-    if witness is not None:
-        return Kind.DEGENERATED, (g, witness)
-    return Kind.NON_DEGENERATED, missed_neighbors(g, u, scc)
-
-
 def _first_of_kind(g: WorkGraph, u: MessageGraph, kind: Kind,
-                   table: dict) -> frozenset[int] | None:
-    """The first leaf SCC of g, by smallest vertex, of the given kind, by
-    the run's class table, which maps each leaf SCC to its kind and, for
-    a semi one, its ``_semi_entry``; a leaf SCC with no entry is
-    classified on g, and a semi one only by a scan for degenerated ones,
-    as far as that scan reaches."""
+                   nondeg: dict) -> tuple | None:
+    """The first leaf SCC of g, by smallest vertex, of the given kind,
+    with its canonical step, or None.  Message-connected and
+    message-disconnected SCCs are read from ``message_class``.  A semi
+    SCC is searched for a witness only by a scan for degenerated ones,
+    and only if nondeg, the run's non-degenerated leaf SCCs with their
+    missed neighbours, does not hold it: a degenerated one is returned
+    with the witness just found, a non-degenerated one joins nondeg."""
     for scc in _leaf_sccs(g):
-        entry = table.get(scc)
-        if entry is None:
-            cls = message_class(u, scc)[0]
-            if cls is not None:
-                entry = table[scc] = (cls.kind, None)
-            elif kind is Kind.DEGENERATED:
-                entry = table[scc] = _semi_entry(g, u, scc)
-            else:
-                continue
-        if entry[0] is kind:
-            return scc
+        cls = message_class(u, scc)[0]
+        if cls is not None:
+            if cls.kind is kind:
+                return scc, next(_steps(g, u, scc))
+        elif kind is Kind.DEGENERATED and scc not in nondeg:
+            witness = find_degeneracy_witness(g, u, scc)
+            if witness is not None:
+                return scc, (StepKind.APPEND_DEGENERATED, witness)
+            nondeg[scc] = missed_neighbors(g, u, scc)
     return None
 
 
@@ -156,19 +148,13 @@ def _message_connected_leaf_sccs(g: WorkGraph, u: MessageGraph) -> list[frozense
             and cls.kind is Kind.MESSAGE_CONNECTED]
 
 
-def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
-          steps: list[StepRecord], table: dict) -> WorkGraph:
-    """Apply the canonical step on scc, record it, and step the class
-    table: scc leaves it, and a non-degenerated entry whose missed
-    neighbours meet the step's hit set is dropped, to be classified again
-    on the child (the hit-set rule of ``_rule_of_thumb_pick``).  A
-    degenerated SCC classified on g itself is appended by the witness its
-    classification found, the first of ``witness_options``."""
-    scc_kind, extra = table.pop(scc)
-    if scc_kind is Kind.DEGENERATED and extra[0] is g:
-        kind, x = StepKind.APPEND_DEGENERATED, extra[1]  # found by this scan
-    else:
-        kind, x = next(_steps(g, u, scc, scc_kind))
+def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], step: tuple, phase: str,
+          steps: list[StepRecord], nondeg: dict) -> WorkGraph:
+    """Apply scc's canonical step (kind, x), record it, and step nondeg:
+    scc leaves it, and an SCC whose missed neighbours meet the step's
+    hit set is dropped, to be searched again on the child (the hit-set
+    rule of ``_rule_of_thumb_pick``)."""
+    kind, x = step
     g2 = _apply(g, kind, x)
     if kind is StepKind.APPEND_DISCONNECTED:
         dummy = g2.vertices[-1]  # the new, largest vertex
@@ -179,27 +165,26 @@ def _take(g: WorkGraph, u: MessageGraph, scc: frozenset[int], phase: str,
     else:
         rec = StepRecord(kind=kind, scc=scc, phase=phase, selected_vertex=x)
     steps.append(rec)
-    if kind is not StepKind.APPEND_DISCONNECTED:
-        hit = None
-        for other, (k, missed) in list(table.items()):
-            if k is Kind.NON_DEGENERATED:
-                if hit is None:  # the same on g and g2
-                    hit = predecessors(g, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
-                if not missed.isdisjoint(hit):
-                    del table[other]
+    nondeg.pop(scc, None)
+    if nondeg and kind is not StepKind.APPEND_DISCONNECTED:
+        # the same on g and g2
+        hit = predecessors(g, x.v_inside if kind is StepKind.APPEND_DEGENERATED else x)
+        for other, missed in list(nondeg.items()):
+            if not missed.isdisjoint(hit):
+                del nondeg[other]
     return g2
 
 
 def _append_phase(g: WorkGraph, u: MessageGraph, steps: list[StepRecord],
-                  phase: str, table: dict) -> WorkGraph:
+                  phase: str, nondeg: dict) -> WorkGraph:
     """Append everything appendable: disconnected first, then degenerated,
     repeating until neither kind remains (appends can assimilate vertices
     into new leaf SCCs of any kind)."""
     while True:
         changed = False
         for kind in (Kind.MESSAGE_DISCONNECTED, Kind.DEGENERATED):
-            while (scc := _first_of_kind(g, u, kind, table)) is not None:
-                g = _take(g, u, scc, phase, steps, table)
+            while (found := _first_of_kind(g, u, kind, nondeg)) is not None:
+                g = _take(g, u, *found, phase, steps, nondeg)
                 changed = True
         if not changed:
             return g
@@ -291,13 +276,13 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
 
     # a prune leaves every other leaf SCC as it is (graph.py, rule 1), so
     # init prunes the root's message-connected leaf SCCs, in their order
-    table = {scc: (Kind.MESSAGE_CONNECTED, None) for scc in _message_connected_leaf_sccs(g, u)}
-    init = list(table)
+    nondeg: dict[frozenset[int], frozenset[int]] = {}
+    init = _message_connected_leaf_sccs(g, u)
     for scc in init:
-        g = _take(g, u, scc, "init", steps, table)
+        g = _take(g, u, scc, (StepKind.PRUNE_CONNECTED, min(scc)), "init", steps, nondeg)
     connected = len(init)
 
-    g = _append_phase(g, u, steps, "init", table)
+    g = _append_phase(g, u, steps, "init", nondeg)
 
     iterations = 0
     while True:
@@ -305,12 +290,14 @@ def run_algorithm2(inst: Instance) -> LowerBoundReport:
         if not sccs:
             break
         iterations += 1
-        scc = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED, table)
-        if scc is None:
-            # after the append phase only non-degenerated ones are left
+        found = _first_of_kind(g, u, Kind.MESSAGE_CONNECTED, nondeg)
+        if found is None:
+            # after the append phase only non-degenerated ones are left,
+            # and a prune of the smallest vertex is their canonical step
             scc = _rule_of_thumb_pick(g, u, sccs)
-        g = _take(g, u, scc, "iteration", steps, table)
-        g = _append_phase(g, u, steps, "iteration", table)
+            found = scc, (StepKind.PRUNE_NON_DEGENERATED, min(scc))
+        g = _take(g, u, *found, "iteration", steps, nondeg)
+        g = _append_phase(g, u, steps, "iteration", nondeg)
         if len(steps) > limit:
             raise RuntimeError(f"step budget {limit} exceeded; this should be impossible")
 

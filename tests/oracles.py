@@ -296,6 +296,24 @@ def reference_witness_options(g: WorkGraph, u: MessageGraph, scc: frozenset[int]
                                             v_inside=v_inside, target=w)
 
 
+def reference_steps(g: WorkGraph, u: MessageGraph, scc: frozenset[int]):
+    """The steps of one leaf SCC by its class from ``classify_leaf_scc``:
+    the dummy append of a message-disconnected SCC, each reference
+    witness append of a degenerated one, then the prune of each vertex in
+    ascending order (PruneConnected for a message-connected SCC,
+    PruneNonDegenerated for the others)."""
+    kind = classify_leaf_scc(g, u, scc).kind
+    if kind is Kind.MESSAGE_DISCONNECTED:
+        yield StepKind.APPEND_DISCONNECTED, min(scc)
+    elif kind is Kind.DEGENERATED:
+        for w in reference_witness_options(g, u, scc):
+            yield StepKind.APPEND_DEGENERATED, w
+    prune = (StepKind.PRUNE_CONNECTED if kind is Kind.MESSAGE_CONNECTED
+             else StepKind.PRUNE_NON_DEGENERATED)
+    for v in sorted(scc):
+        yield prune, v
+
+
 def all_sender_vectors(inst: Instance) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """Every nonempty XOR combination a sender can transmit, as
     (sender, sorted terms); duplicates across senders kept distinct."""

@@ -12,9 +12,10 @@ output line is ``workload seed commands sha256``.
 A change that must leave the output bytes alone prints the same lines
 before and after; to take the lines of another checkout, copy this file
 into its ``tests/`` and run it there.  The lines must not depend on the
-hash seed either:
+hash seed either, and they are recorded in ``tests/pool_digests.txt``,
+which a change to the output on purpose records again:
 
-    PYTHONHASHSEED=0 python3 tests/pool_digests.py
+    PYTHONHASHSEED=0 python3 tests/pool_digests.py | diff tests/pool_digests.txt -
 
 The script needs only the standard library.
 """

@@ -15,7 +15,7 @@ from uniprior.multi import _apply, _graphs, _steps
 
 from generators import make_instance, rand_cyclic
 from oracles import (brute_witness_exists, reference_check_witness, reference_components,
-                     reference_connected_within, reference_witness_options)
+                     reference_connected_within, reference_steps, reference_witness_options)
 from test_golden import FAMILIES
 
 D1 = make_instance(3, [[1, 2], [2, 1], [3, 1]], [[1, 3], [2, 3]])
@@ -246,3 +246,17 @@ def test_witness_options_match_reference_on_algorithm2_states():
                 searched += 1
                 found += bool(options)
     assert searched >= 5000 and found >= 1000, (searched, found)
+
+
+def test_steps_match_reference_on_algorithm2_states():
+    # the steps of every leaf SCC of every state, and of each state with
+    # one leaf SCC pruned, against the steps of its classify_leaf_scc class
+    counts = dict.fromkeys(StepKind, 0)
+    for inst in _state_instances():
+        u = derive_message_graph(inst)
+        for h in _searched_graphs(inst):
+            for scc in leaf_scc_sets(h):
+                steps = list(_steps(h, u, scc))
+                assert steps == list(reference_steps(h, u, scc))
+                counts[steps[0][0]] += 1
+    assert min(counts.values()) >= 1000, counts

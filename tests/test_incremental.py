@@ -1,15 +1,18 @@
 """Algorithm 2 carries its state from step to step: each graph takes its
-leaf SCCs from the graph it was stepped from, the run keeps one class
-per leaf SCC, and the lookahead searches only the leaf SCCs a
-candidate's prune touches.  These tests hold the result to the
-algorithm that derives everything afresh after every step."""
+leaf SCCs from the graph it was stepped from, the run keeps its
+non-degenerated leaf SCCs with their missed neighbours, and the
+lookahead searches only the leaf SCCs a candidate's prune touches.
+These tests hold the result, and the kept SCCs, to the algorithm that
+derives everything afresh after every step."""
 
 from __future__ import annotations
 
 import random
 
-from uniprior import (WorkGraph, derive_message_graph, exhaustive_lower_bound, leaf_scc_sets,
-                      leaf_vertices, run_algorithm2)
+from uniprior import (WorkGraph, derive_message_graph, exhaustive_lower_bound,
+                      find_degeneracy_witness, leaf_scc_sets, leaf_vertices, run_algorithm2)
+from uniprior import multi
+from uniprior.classify import message_class, missed_neighbors
 from uniprior.graph import leaf_cover
 from uniprior.instance import Instance
 from uniprior.multi import _rule_of_thumb_pick
@@ -54,6 +57,37 @@ def test_algorithm2_matches_the_reference_on_benchmark_shaped_instances():
     insts += [rand_cyclic(rng, n_max=16, size_max=4) for _ in range(200)]
     picks = sum(_assert_like_reference(inst) for inst in insts)
     assert picks >= 40, picks
+
+
+def test_kept_non_degenerated_sccs_hold_on_every_state(monkeypatch):
+    # after every step of a run, each leaf SCC the run keeps as
+    # non-degenerated is a leaf SCC of the new graph, has no witness on
+    # it rebuilt from its arcs, and keeps its missed neighbours; the
+    # step-for-step comparison cannot see a stale entry never read again
+    take = multi._take
+    kept = 0
+
+    def checked(g, u, scc, step, phase, steps, nondeg):
+        nonlocal kept
+        g2 = take(g, u, scc, step, phase, steps, nondeg)
+        fresh = WorkGraph(g2.vertices, g2.arcs, g2.weight, g2.dummies)
+        sccs = leaf_scc_sets(fresh)
+        for other, missed in nondeg.items():
+            assert other in sccs
+            assert message_class(u, other)[0] is None
+            assert find_degeneracy_witness(fresh, u, other) is None
+            assert missed == missed_neighbors(fresh, u, other)
+            kept += 1
+        return g2
+
+    monkeypatch.setattr(multi, "_take", checked)
+    insts = [cyclic(n) for n in range(20, 301, 20)]
+    insts += list(_bench_scale_instances())
+    rng = random.Random(83)
+    insts += [rand_cyclic(rng, n_max=16, size_max=4) for _ in range(200)]
+    for inst in insts:
+        run_algorithm2(inst)
+    assert kept >= 1000, kept
 
 
 def _spy_children(monkeypatch) -> list:
